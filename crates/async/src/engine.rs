@@ -1895,71 +1895,44 @@ mod tests {
             )
         };
         assert_eq!(run(PortBackend::Dense), run(PortBackend::Sparse));
-        assert_eq!(run(PortBackend::Dense), run(PortBackend::Chunked));
-    }
-
-    #[test]
-    fn chunked_backend_matches_sparse_under_rng_driven_resolution() {
-        // Chunked and sparse share one draw schedule, so even the
-        // RNG-driven default resolver must produce bit-identical
-        // executions across the two backends.
-        let run = |backend| {
-            let o = AsyncSimBuilder::new(14)
-                .seed(6)
-                .backend(backend)
-                .wake(AsyncWakeSchedule::single(NodeIndex(0)))
-                .build(Flood::new)
-                .unwrap()
-                .run()
-                .unwrap();
-            (
-                o.time.to_bits(),
-                o.stats.total(),
-                o.unique_leader(),
-                o.decisions,
-            )
-        };
-        assert_eq!(run(PortBackend::Sparse), run(PortBackend::Chunked));
     }
 
     #[test]
     fn sparse_backend_arena_trials_match_fresh_sparse_trials() {
-        for backend in [PortBackend::Sparse, PortBackend::Chunked] {
-            let mut arena = AsyncArena::new();
-            for seed in 0..6u64 {
-                let fresh = AsyncSimBuilder::new(12)
-                    .seed(seed)
-                    .backend(backend)
-                    .wake(AsyncWakeSchedule::single(NodeIndex(1)))
-                    .build(Flood::new)
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                let reused = AsyncSimBuilder::new(12)
-                    .seed(seed)
-                    .backend(backend)
-                    .wake(AsyncWakeSchedule::single(NodeIndex(1)))
-                    .build_in(&mut arena, Flood::new)
-                    .unwrap()
-                    .run_reusing(&mut arena)
-                    .unwrap();
-                assert_eq!(
-                    (
-                        fresh.time.to_bits(),
-                        fresh.stats.total(),
-                        fresh.unique_leader()
-                    ),
-                    (
-                        reused.time.to_bits(),
-                        reused.stats.total(),
-                        reused.unique_leader()
-                    ),
-                );
-            }
-            // Hashed floors + sparse map: far below the dense n² tables
-            // even at this tiny n once both structures are hashed.
-            assert!(arena.resident_bytes() > 0);
+        let mut arena = AsyncArena::new();
+        for seed in 0..6u64 {
+            let fresh = AsyncSimBuilder::new(12)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .wake(AsyncWakeSchedule::single(NodeIndex(1)))
+                .build(Flood::new)
+                .unwrap()
+                .run()
+                .unwrap();
+            let reused = AsyncSimBuilder::new(12)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .wake(AsyncWakeSchedule::single(NodeIndex(1)))
+                .build_in(&mut arena, Flood::new)
+                .unwrap()
+                .run_reusing(&mut arena)
+                .unwrap();
+            assert_eq!(
+                (
+                    fresh.time.to_bits(),
+                    fresh.stats.total(),
+                    fresh.unique_leader()
+                ),
+                (
+                    reused.time.to_bits(),
+                    reused.stats.total(),
+                    reused.unique_leader()
+                ),
+            );
         }
+        // Hashed floors + sparse map: far below the dense n² tables
+        // even at this tiny n once both structures are hashed.
+        assert!(arena.resident_bytes() > 0);
     }
 
     #[test]

@@ -45,11 +45,12 @@ fn measure_mc(n: usize, seed: u64, arena: &mut SyncArena) -> (u64, bool) {
 }
 
 fn main() {
-    // The full sweep reaches 65536: under the default `auto` backend the
-    // cells at n ≥ 32768 run on the sparse port-map store (O(touched-state)
-    // memory), so the ~120 GB the dense tables would need at 65536 is never
-    // allocated (see EXPERIMENTS.md; `peak_resident_bytes` records what the
-    // backend actually held per row).
+    // The full sweep reaches 65536: the default `auto` backend resolves
+    // to the sparse port-map store past the dense budget, so the cells at
+    // n ≥ 32768 hold O(touched-state) memory and the ~120 GB the dense
+    // tables would need at 65536 is never allocated (see EXPERIMENTS.md;
+    // `peak_resident_bytes` records what the backend actually held per
+    // row).
     let ns = sweep(&[256usize, 1024, 4096, 16384, 32768, 65536], &[256, 1024]);
     let seed_list = seeds(if le_bench::quick() { 5 } else { 20 });
 

@@ -41,38 +41,33 @@
 //!   direct-mapped caches). Memory is O(n + links) instead of `Θ(n²)`,
 //!   which reopens `n = 65536+` for the paper's sublinear-message regime;
 //!   operations stay O(1) expected.
-//! * **Chunked** (`chunked` submodule) — sparse by default, with any
-//!   node whose degree crosses a threshold (default 64, env knob
-//!   `LE_CHUNK_THRESHOLD`) lazily *materializing* a dense flat row.
-//!   Draw-schedule identical to sparse at every step, so switching
-//!   between the two re-rolls nothing; memory stays O(n + links +
-//!   n·hot-nodes) while dense-traffic rows get flat-array speed.
+//! * **Graph** (`graph` submodule) — CSR-ragged flat tables over an
+//!   explicit non-clique [`Topology`]; serves every requested backend
+//!   there.
 //!
 //! Selection: [`PortMap::new`] honours the `LE_BACKEND` environment
-//! variable (`dense`, `sparse`, `chunked`, or `auto`; unset means
-//! `auto`), and [`PortMap::with_backend`] / the engine builders'
-//! `.backend(…)` pin a choice programmatically. `auto` picks dense while
-//! the flat tables fit a fixed budget (8 GiB, i.e. up to `n = 16384`) and
-//! chunked beyond — past the budget the *workload* decides per node, at
-//! runtime, which rows deserve dense storage.
+//! variable (`dense`, `sparse`, or `auto`; unset means `auto`), and
+//! [`PortMap::with_backend`] / the engine builders' `.backend(…)` pin a
+//! choice programmatically. `auto` picks dense while the flat tables fit
+//! a fixed budget (8 GiB, i.e. up to `n = 16384`) and sparse beyond.
 //!
 //! RNG-free resolvers (round-robin, circulant, the lower-bound
 //! adversaries) resolve identically on all backends — enforced by
 //! `tests/portmap_equivalence.rs`. RNG-driven resolvers draw through the
-//! backend's enumeration order, which differs between dense and
-//! sparse/chunked, so the per-seed mappings differ while their
-//! distributions coincide; golden fingerprints are therefore
-//! *backend-scoped* (recorded on dense; the sparse pins bind chunked too,
-//! since the two share one draw schedule).
+//! backend's enumeration order, which differs between dense and sparse,
+//! so the per-seed mappings differ while their distributions coincide;
+//! golden fingerprints are therefore *backend-scoped* (recorded on dense,
+//! with a separate pin for the sparse draw schedule).
 //!
 //! # Trial recycling
 //!
 //! Construction cost is paid once per *map*, not once per *trial*:
 //! [`PortMap::reset`] returns a used map to the exact state construction
-//! produces, in time proportional to the state the previous trial actually
-//! touched (a dirty-node list records which rows have links; each dirty row
-//! is restored by swapping its partitioned permutations back to canonical
-//! order — no reallocation, no full-table sweep — on *both* backends). A
+//! produces without reallocating. A dirty-node list records which rows
+//! have links. Dense restores each dirty row by swapping its materialized
+//! partitioned permutations back to canonical order; sparse zeroes the
+//! dirty degrees and clears its hashed tables, since its base
+//! permutations are implicit and a pristine row holds no overrides. A
 //! reset map is observationally identical to a fresh one: the same
 //! resolver draws from the same RNG state produce the same mapping.
 
@@ -82,14 +77,12 @@ use rand::Rng;
 use crate::error::ModelError;
 use crate::NodeIndex;
 
-mod chunked;
 mod dense;
 mod graph;
 mod perm;
 mod sparse;
 mod table;
 
-use chunked::ChunkedStore;
 use dense::DenseStore;
 use graph::GraphStore;
 use sparse::SparseStore;
@@ -132,7 +125,7 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// The uniform storage interface both backends implement.
+/// The uniform storage interface every backend implements.
 ///
 /// [`PortMap`] validates every mutation (bounds, bijectivity, resolver
 /// sanity) before it reaches the store, so implementations only maintain
@@ -179,7 +172,7 @@ trait PortStore {
 
 /// Shared `validate` helper: the dirty list must hold exactly the nodes
 /// with at least one link, each once (pushed only on the 0 → 1 degree
-/// transition) — the discipline both backends' `reset` relies on.
+/// transition) — the discipline every backend's `reset` relies on.
 fn validate_dirty_list(degree: &[u32], dirty_list: &[u32]) -> Result<(), &'static str> {
     let mut dirty = dirty_list.to_vec();
     dirty.sort_unstable();
@@ -204,7 +197,6 @@ macro_rules! with_store {
         match &$map.store {
             Store::Dense($s) => $e,
             Store::Sparse($s) => $e,
-            Store::Chunked($s) => $e,
             Store::Graph($s) => $e,
         }
     };
@@ -215,7 +207,6 @@ macro_rules! with_store_mut {
         match &mut $map.store {
             Store::Dense($s) => $e,
             Store::Sparse($s) => $e,
-            Store::Chunked($s) => $e,
             Store::Graph($s) => $e,
         }
     };
@@ -231,17 +222,9 @@ pub enum PortBackend {
     /// Hashed O(n + links) tables with implicit keyed permutations:
     /// O(1)-expected operations, memory proportional to touched state.
     Sparse,
-    /// Sparse storage that lazily materializes a dense flat row for any
-    /// node whose degree crosses the `LE_CHUNK_THRESHOLD` (default 64).
-    /// Draw-schedule identical to [`PortBackend::Sparse`] — the sparse
-    /// pinned schedules and recorded numbers carry over verbatim.
-    Chunked,
-    /// Resolve per size and workload: dense while
-    /// [`PortBackend::dense_table_bytes`] fits
-    /// [`PortBackend::AUTO_DENSE_CAP_BYTES`] (up to `n = 16384`), chunked
-    /// beyond — past the budget the per-node degree distribution decides
-    /// at runtime which rows get dense storage. The default, and what
-    /// unset `LE_BACKEND` means.
+    /// Resolve per size: dense while [`PortBackend::dense_table_bytes`]
+    /// fits [`PortBackend::AUTO_DENSE_CAP_BYTES`] (up to `n = 16384`),
+    /// sparse beyond. The default, and what unset `LE_BACKEND` means.
     #[default]
     Auto,
 }
@@ -264,7 +247,7 @@ impl PortBackend {
     pub const AUTO_DENSE_CAP_BYTES: u64 = 8 * 1024 * 1024 * 1024;
 
     /// Reads the backend selection from the `LE_BACKEND` environment
-    /// variable: `dense`, `sparse`, `chunked`, or `auto`; unset (or
+    /// variable: `dense`, `sparse`, or `auto`; unset (or
     /// empty) means [`PortBackend::Auto`].
     ///
     /// # Panics
@@ -275,33 +258,27 @@ impl PortBackend {
         match std::env::var("LE_BACKEND") {
             Err(std::env::VarError::NotPresent) => PortBackend::Auto,
             Err(std::env::VarError::NotUnicode(v)) => {
-                panic!("LE_BACKEND must be dense|sparse|chunked|auto, got non-unicode {v:?}")
+                panic!("LE_BACKEND must be dense|sparse|auto, got non-unicode {v:?}")
             }
             Ok(v) => match v.as_str() {
                 "dense" => PortBackend::Dense,
                 "sparse" => PortBackend::Sparse,
-                "chunked" => PortBackend::Chunked,
                 "auto" | "" => PortBackend::Auto,
-                other => panic!("LE_BACKEND must be dense|sparse|chunked|auto, got {other:?}"),
+                other => panic!("LE_BACKEND must be dense|sparse|auto, got {other:?}"),
             },
         }
     }
 
     /// Resolves `Auto` against the network size; concrete backends return
-    /// themselves. The result is always a concrete backend.
-    ///
-    /// Above the dense budget `Auto` picks chunked rather than plain
-    /// sparse: chunked draws the identical schedule (no recorded sparse
-    /// number re-rolls) and adapts per node to the workload's degree
-    /// distribution, so it is never slower than sparse by more than the
-    /// one-time row-materialization cost on hot rows.
+    /// themselves. The result is always a concrete backend: dense within
+    /// the budget, sparse above it.
     pub fn resolve(self, n: usize) -> PortBackend {
         match self {
             PortBackend::Auto => {
                 if PortBackend::dense_table_bytes(n) <= PortBackend::AUTO_DENSE_CAP_BYTES {
                     PortBackend::Dense
                 } else {
-                    PortBackend::Chunked
+                    PortBackend::Sparse
                 }
             }
             concrete => concrete,
@@ -310,7 +287,7 @@ impl PortBackend {
 
     /// Resolves `Auto` against the *edge count* of an explicit topology:
     /// dense while [`PortBackend::edge_table_bytes`] fits the same
-    /// 8 GiB budget, chunked beyond. On the clique
+    /// 8 GiB budget, sparse beyond. On the clique
     /// (`m = n(n−1)/2`) the edge formula equals
     /// [`PortBackend::dense_table_bytes`] exactly, so this is a strict
     /// generalization of [`PortBackend::resolve`] — the clique boundary
@@ -323,7 +300,7 @@ impl PortBackend {
                 if PortBackend::edge_table_bytes(n, m) <= PortBackend::AUTO_DENSE_CAP_BYTES {
                     PortBackend::Dense
                 } else {
-                    PortBackend::Chunked
+                    PortBackend::Sparse
                 }
             }
             concrete => concrete,
@@ -368,7 +345,6 @@ impl PortBackend {
         match self {
             PortBackend::Dense => "dense",
             PortBackend::Sparse => "sparse",
-            PortBackend::Chunked => "chunked",
             PortBackend::Auto => "auto",
         }
     }
@@ -632,11 +608,10 @@ impl PortResolver for CirculantResolver {
 enum Store {
     /// Flat tables (see [`dense`]).
     Dense(DenseStore),
-    /// Hashed touched-state tables (see [`sparse`]).
-    Sparse(SparseStore),
-    /// Sparse tables with lazily materialized dense rows (see
-    /// [`chunked`]).
-    Chunked(ChunkedStore),
+    /// Hashed touched-state tables (see [`sparse`]). Boxed: its table
+    /// and cache headers make it several times larger than the other
+    /// variants.
+    Sparse(Box<SparseStore>),
     /// CSR-ragged flat tables over an explicit topology (see
     /// [`graph`]); serves every requested backend on non-clique
     /// topologies.
@@ -685,8 +660,7 @@ impl PortMap {
         }
         let store = match backend.resolve(n) {
             PortBackend::Dense => Store::Dense(DenseStore::new(n)),
-            PortBackend::Sparse => Store::Sparse(SparseStore::new(n)),
-            PortBackend::Chunked => Store::Chunked(ChunkedStore::new(n)),
+            PortBackend::Sparse => Store::Sparse(Box::new(SparseStore::new(n))),
             PortBackend::Auto => unreachable!("resolve() always returns a concrete backend"),
         };
         Ok(PortMap { store })
@@ -726,7 +700,6 @@ impl PortMap {
         match &self.store {
             Store::Dense(_) => PortBackend::Dense,
             Store::Sparse(_) => PortBackend::Sparse,
-            Store::Chunked(_) => PortBackend::Chunked,
             Store::Graph(s) => s.stand_in(),
         }
     }
@@ -776,9 +749,8 @@ impl PortMap {
         with_store!(self, s => s.resident_bytes())
     }
 
-    /// Backend storage milestone counters: Feistel memo hits/misses,
-    /// open-table growths, and chunked-row materializations. All zero on
-    /// the dense backend. The engines snapshot this into the
+    /// Backend storage milestone counters: Feistel memo hits/misses and
+    /// open-table growths. All zero on the dense backend. The engines snapshot this into the
     /// [`backend`](crate::trace::TraceClass::Backend) trace event at the
     /// end of a run.
     pub fn backend_counters(&self) -> crate::trace::BackendCounters {
@@ -1005,12 +977,12 @@ impl PortMap {
     /// Un-connects everything, returning the map to the exact state
     /// construction produces — without reallocating any table.
     ///
-    /// On *both* backends the cost is proportional to the state actually
-    /// touched since construction (or the previous reset): only the rows
-    /// of nodes with at least one link are visited, each restored in
-    /// O(degree) by chasing displacement cycles of the partitioned
-    /// permutations. Repeated trials over one map therefore pay the
-    /// construction cost once and O(links) per trial.
+    /// Dense visits only the rows of nodes with at least one link, each
+    /// restored in O(degree) by chasing displacement cycles of the
+    /// partitioned permutations. Sparse zeroes those rows' degrees and
+    /// clears its hashed tables in O(retained capacity), evaluating no
+    /// base permutation. Repeated trials over one map therefore pay the
+    /// construction cost once and O(touched state) per trial.
     ///
     /// Afterwards the map is observationally identical to a freshly
     /// constructed one: the same sequence of resolver choices (and RNG
@@ -1042,25 +1014,8 @@ mod tests {
         PortMap::with_backend(n, PortBackend::Sparse).unwrap()
     }
 
-    /// A chunked-backend map with an aggressive materialization threshold,
-    /// so the small-`n` mirror tests below actually cross it. (Going
-    /// through the env knob would race across test threads; the store
-    /// constructor takes the threshold directly.)
-    fn chunked_map(n: usize) -> PortMap {
-        PortMap {
-            store: Store::Chunked(ChunkedStore::with_threshold(n, 2)),
-        }
-    }
-
-    /// The three concrete backends, for equivalence loops. `chunked_map`
-    /// (threshold 2) is used instead where the test constructs maps by
-    /// hand — at these tiny sizes the default threshold of 64 would never
-    /// materialize anything.
-    const BACKENDS: [PortBackend; 3] = [
-        PortBackend::Dense,
-        PortBackend::Sparse,
-        PortBackend::Chunked,
-    ];
+    /// The two concrete clique backends, for equivalence loops.
+    const BACKENDS: [PortBackend; 2] = [PortBackend::Dense, PortBackend::Sparse];
 
     #[test]
     fn rejects_tiny_network() {
@@ -1080,14 +1035,12 @@ mod tests {
         assert_eq!(PortBackend::Auto.resolve(4096), PortBackend::Dense);
         assert_eq!(PortBackend::Auto.resolve(8192), PortBackend::Dense);
         assert_eq!(PortBackend::Auto.resolve(16384), PortBackend::Dense);
-        // Past the budget auto picks chunked: same draw schedule as
-        // sparse, workload-adaptive row storage.
-        assert_eq!(PortBackend::Auto.resolve(32768), PortBackend::Chunked);
-        assert_eq!(PortBackend::Auto.resolve(65536), PortBackend::Chunked);
+        // Past the budget auto picks sparse.
+        assert_eq!(PortBackend::Auto.resolve(32768), PortBackend::Sparse);
+        assert_eq!(PortBackend::Auto.resolve(65536), PortBackend::Sparse);
         // Explicit choices are never overridden.
         assert_eq!(PortBackend::Dense.resolve(1 << 20), PortBackend::Dense);
         assert_eq!(PortBackend::Sparse.resolve(2), PortBackend::Sparse);
-        assert_eq!(PortBackend::Chunked.resolve(2), PortBackend::Chunked);
         // The budgeted quantity matches the documented ~28 bytes per pair.
         let n = 8192u64;
         let per_pair = PortBackend::dense_table_bytes(8192) / (n * n);
@@ -1102,14 +1055,14 @@ mod tests {
             PortBackend::dense_table_bytes(1 << 20),
             20 * n * (n - 1) + 8 * n * n + 4 * n
         );
-        assert_eq!(PortBackend::Auto.resolve(1 << 20), PortBackend::Chunked);
+        assert_eq!(PortBackend::Auto.resolve(1 << 20), PortBackend::Sparse);
         // Near the u32 ceiling the true size exceeds u64::MAX only with
         // the multiplications done in u128; a wrapped u64 computation
         // would come out tiny and flip auto back to dense. The saturated
         // value must stay above the budget.
         let huge = (u32::MAX - 1) as usize;
         assert!(PortBackend::dense_table_bytes(huge) > PortBackend::AUTO_DENSE_CAP_BYTES);
-        assert_eq!(PortBackend::Auto.resolve(huge), PortBackend::Chunked);
+        assert_eq!(PortBackend::Auto.resolve(huge), PortBackend::Sparse);
         // Monotonicity across the whole supported range: a larger network
         // never reports smaller tables (the signature a wrap would leave).
         let mut prev = 0u64;
@@ -1124,20 +1077,15 @@ mod tests {
     fn backend_is_reported_and_part_of_equality() {
         let dense = PortMap::with_backend(16, PortBackend::Dense).unwrap();
         let sparse = sparse_map(16);
-        let chunked = PortMap::with_backend(16, PortBackend::Chunked).unwrap();
         assert_eq!(dense.backend(), PortBackend::Dense);
         assert_eq!(sparse.backend(), PortBackend::Sparse);
-        assert_eq!(chunked.backend(), PortBackend::Chunked);
         assert_ne!(dense, sparse, "maps on different backends compare equal");
-        assert_ne!(dense, chunked, "maps on different backends compare equal");
-        assert_ne!(sparse, chunked, "maps on different backends compare equal");
         assert!(dense.resident_bytes() > sparse.resident_bytes());
-        assert!(dense.resident_bytes() > chunked.resident_bytes());
     }
 
     #[test]
     fn resolve_is_idempotent() {
-        for mut map in [PortMap::new(8).unwrap(), sparse_map(8), chunked_map(8)] {
+        for mut map in [PortMap::new(8).unwrap(), sparse_map(8)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(1);
             let d1 = map
@@ -1154,7 +1102,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_is_fixed() {
-        for mut map in [PortMap::new(8).unwrap(), sparse_map(8), chunked_map(8)] {
+        for mut map in [PortMap::new(8).unwrap(), sparse_map(8)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(2);
             let d = map
@@ -1176,7 +1124,7 @@ mod tests {
     #[test]
     fn full_resolution_forms_clique() {
         let n = 10;
-        for mut map in [PortMap::new(n).unwrap(), sparse_map(n), chunked_map(n)] {
+        for mut map in [PortMap::new(n).unwrap(), sparse_map(n)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(3);
             for u in 0..n {
@@ -1229,7 +1177,7 @@ mod tests {
 
     #[test]
     fn connect_rejects_conflicts() {
-        for mut map in [PortMap::new(5).unwrap(), sparse_map(5), chunked_map(5)] {
+        for mut map in [PortMap::new(5).unwrap(), sparse_map(5)] {
             map.connect(NodeIndex(0), Port(0), NodeIndex(1), Port(0))
                 .unwrap();
             // same pair again
@@ -1250,7 +1198,7 @@ mod tests {
 
     #[test]
     fn port_to_finds_the_link() {
-        for mut map in [PortMap::new(5).unwrap(), sparse_map(5), chunked_map(5)] {
+        for mut map in [PortMap::new(5).unwrap(), sparse_map(5)] {
             map.connect(NodeIndex(0), Port(3), NodeIndex(4), Port(1))
                 .unwrap();
             assert_eq!(map.port_to(NodeIndex(0), NodeIndex(4)), Some(Port(3)));
@@ -1317,7 +1265,7 @@ mod tests {
     #[test]
     fn partitioned_permutations_track_connectivity() {
         let n = 7;
-        for mut map in [PortMap::new(n).unwrap(), sparse_map(n), chunked_map(n)] {
+        for mut map in [PortMap::new(n).unwrap(), sparse_map(n)] {
             map.connect(NodeIndex(0), Port(2), NodeIndex(4), Port(5))
                 .unwrap();
             map.connect(NodeIndex(0), Port(0), NodeIndex(6), Port(3))
@@ -1405,7 +1353,21 @@ mod tests {
                 }
             }
             assert!(map.link_count() > 0);
+            // Every base-permutation evaluation passes through the memo
+            // caches, so their hit + miss total counts them exactly. A
+            // pristine sparse row holds no overrides, so reset is a table
+            // clear and evaluates none (dense counts nothing at all).
+            let evaluations = |map: &PortMap| {
+                let c = map.backend_counters();
+                c.memo_hits + c.memo_misses
+            };
+            let before = evaluations(&map);
             map.reset();
+            assert_eq!(
+                evaluations(&map),
+                before,
+                "{backend}: reset evaluated base permutations"
+            );
             map.validate().unwrap();
             assert_eq!(map, PortMap::with_backend(n, backend).unwrap());
         }
@@ -1536,42 +1498,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_random_resolver_matches_the_sparse_pin() {
-        // The chunked backend must draw the *identical* schedule as
-        // sparse — that identity is what lets `auto` switch from sparse
-        // to chunked without re-rolling any recorded number. Threshold 2
-        // forces node 0's row to materialize in the middle of the pinned
-        // sequence, so the pin crosses the representation switch.
-        let n = 17;
-        let mut map = chunked_map(n);
-        let mut resolver = RandomResolver;
-        let mut rng = rng_from_seed(0);
-        let seq: Vec<usize> = (0..8)
-            .map(|p| {
-                map.resolve(NodeIndex(0), Port(p), &mut resolver, &mut rng)
-                    .unwrap()
-                    .node
-                    .0
-            })
-            .collect();
-        map.validate().unwrap();
-        const EXPECTED: [usize; 8] = [15, 11, 9, 2, 7, 14, 6, 10];
-        assert_eq!(seq, EXPECTED, "chunked schedule diverged from sparse");
-        // And a reset map (rows still materialized) redraws it verbatim.
-        map.reset();
-        let mut rng = rng_from_seed(0);
-        let again: Vec<usize> = (0..8)
-            .map(|p| {
-                map.resolve(NodeIndex(0), Port(p), &mut resolver, &mut rng)
-                    .unwrap()
-                    .node
-                    .0
-            })
-            .collect();
-        assert_eq!(again, EXPECTED, "recycled chunked schedule drifted");
-    }
-
-    #[test]
     fn edge_table_bytes_matches_dense_on_the_clique() {
         // One budget formula: at m = n(n−1)/2 the edge-aware bytes must
         // equal the clique formula exactly, keeping the auto boundary
@@ -1592,7 +1518,7 @@ mod tests {
         // budget — while the clique formula at the same n is ~28 TB.
         // The edge-aware resolution must stop over-provisioning.
         let n = 1_000_000;
-        assert_eq!(PortBackend::Auto.resolve(n), PortBackend::Chunked);
+        assert_eq!(PortBackend::Auto.resolve(n), PortBackend::Sparse);
         assert_eq!(
             PortBackend::Auto.resolve_for(n, n as u64),
             PortBackend::Dense,
@@ -1606,7 +1532,7 @@ mod tests {
         );
         assert_eq!(
             PortBackend::Auto.resolve_for(32768, m(32768)),
-            PortBackend::Chunked
+            PortBackend::Sparse
         );
         // Explicit backends are never overridden.
         assert_eq!(PortBackend::Sparse.resolve_for(64, 64), PortBackend::Sparse);
@@ -1681,7 +1607,7 @@ mod tests {
 
     #[test]
     fn graph_map_draw_schedule_is_backend_independent() {
-        // On non-clique topologies all three backends share one store,
+        // On non-clique topologies every backend shares one store,
         // so RNG-driven schedules are identical by construction.
         let topo = crate::topology::Topology::random_regular(16, 4, 5).unwrap();
         let schedule = |backend| {
@@ -1702,7 +1628,6 @@ mod tests {
         };
         let dense = schedule(PortBackend::Dense);
         assert_eq!(dense, schedule(PortBackend::Sparse));
-        assert_eq!(dense, schedule(PortBackend::Chunked));
     }
 
     #[test]
@@ -1738,7 +1663,7 @@ mod tests {
 
     #[test]
     fn out_of_range_errors() {
-        for mut map in [PortMap::new(4).unwrap(), sparse_map(4), chunked_map(4)] {
+        for mut map in [PortMap::new(4).unwrap(), sparse_map(4)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(0);
             assert!(matches!(

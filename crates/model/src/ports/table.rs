@@ -1,4 +1,4 @@
-//! A purpose-built open-addressing hash table for the sparse backends'
+//! A purpose-built open-addressing hash table for the sparse backend's
 //! packed `u64` keys.
 //!
 //! The sparse port-map backend stores six maps keyed by packed
@@ -226,7 +226,7 @@ impl<V: Copy + Default> OpenTable<V> {
     /// trial touched nothing). Resets the high-water mark either way.
     ///
     /// Must only be called when the table is empty (the port-map reset
-    /// drains every entry first).
+    /// clears every table first).
     pub fn end_trial(&mut self) {
         debug_assert_eq!(self.len, 0, "end_trial on a non-empty table");
         let needed = Self::capacity_for(self.high_water);

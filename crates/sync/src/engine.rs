@@ -225,8 +225,8 @@ impl SyncSimBuilder {
     /// environment selection, which is the clique when unset). The
     /// topology's node count must equal the builder's `n`.
     ///
-    /// On the clique the port map keeps its flat dense/sparse/chunked
-    /// tables; on any other topology ports are degree-indexed
+    /// On the clique the port map keeps its dense or sparse tables; on
+    /// any other topology ports are degree-indexed
     /// (`0..deg(v)` per node) and served by the graph store.
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = Some(topology);
@@ -1159,35 +1159,32 @@ mod tests {
             )
         };
         assert_eq!(run(PortBackend::Dense), run(PortBackend::Sparse));
-        assert_eq!(run(PortBackend::Dense), run(PortBackend::Chunked));
     }
 
     #[test]
     fn sparse_backend_arena_trials_match_fresh_sparse_trials() {
-        for backend in [PortBackend::Sparse, PortBackend::Chunked] {
-            let mut arena = SyncArena::new();
-            for seed in 0..8u64 {
-                let fresh = SyncSimBuilder::new(16)
-                    .seed(seed)
-                    .backend(backend)
-                    .build(max_broadcast)
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                let reused = SyncSimBuilder::new(16)
-                    .seed(seed)
-                    .backend(backend)
-                    .build_in(&mut arena, max_broadcast)
-                    .unwrap()
-                    .run_reusing(&mut arena)
-                    .unwrap();
-                assert_eq!(
-                    (fresh.rounds, fresh.stats.total(), fresh.unique_leader()),
-                    (reused.rounds, reused.stats.total(), reused.unique_leader()),
-                );
-            }
-            assert!(arena.resident_bytes() > 0);
+        let mut arena = SyncArena::new();
+        for seed in 0..8u64 {
+            let fresh = SyncSimBuilder::new(16)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .build(max_broadcast)
+                .unwrap()
+                .run()
+                .unwrap();
+            let reused = SyncSimBuilder::new(16)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .build_in(&mut arena, max_broadcast)
+                .unwrap()
+                .run_reusing(&mut arena)
+                .unwrap();
+            assert_eq!(
+                (fresh.rounds, fresh.stats.total(), fresh.unique_leader()),
+                (reused.rounds, reused.stats.total(), reused.unique_leader()),
+            );
         }
+        assert!(arena.resident_bytes() > 0);
     }
 
     #[test]
@@ -1196,7 +1193,6 @@ mod tests {
         for backend in [
             PortBackend::Dense,
             PortBackend::Sparse,
-            PortBackend::Chunked,
             PortBackend::Dense,
             PortBackend::Auto, // resolves to Dense at this n — map recycled
         ] {

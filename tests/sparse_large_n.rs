@@ -1,7 +1,7 @@
-//! Large-`n` smoke tests for the hashed port-map backends (sparse and
-//! chunked): one Las Vegas trial at `n = 65536` — the size where the
-//! dense tables would need ~120 GB — must elect a leader within a
-//! generous wall-clock budget and a sparse-sized memory footprint.
+//! Large-`n` smoke test for the hashed (sparse) port-map backend: one
+//! Las Vegas trial at `n = 65536` — the size where the dense tables
+//! would need ~120 GB — must elect a leader within a generous wall-clock
+//! budget and a sparse-sized memory footprint.
 //!
 //! Ignored by default so tier-1 wall-clock stays flat; CI runs it
 //! explicitly (release profile) as the large-n regression gate:
@@ -18,19 +18,6 @@ use improved_le::sync::{SyncArena, SyncSimBuilder};
 #[test]
 #[ignore = "large-n smoke: run explicitly (CI) in release mode"]
 fn sparse_backend_elects_at_n_65536_within_budget() {
-    elects_at_n_65536_within_budget(PortBackend::Sparse);
-}
-
-#[test]
-#[ignore = "large-n smoke: run explicitly (CI) in release mode"]
-fn chunked_backend_elects_at_n_65536_within_budget() {
-    // A sublinear-message trial leaves every node's degree far below the
-    // materialization threshold, so the chunked backend must stay on its
-    // sparse path and keep the same touched-state footprint bound.
-    elects_at_n_65536_within_budget(PortBackend::Chunked);
-}
-
-fn elects_at_n_65536_within_budget(backend: PortBackend) {
     const N: usize = 65536;
     // One-core CI runners are slow; the reference box does one trial in
     // ~1 s. The budget guards against quadratic regressions (a dense-like
@@ -41,7 +28,7 @@ fn elects_at_n_65536_within_budget(backend: PortBackend) {
     let mut arena = SyncArena::new();
     let outcome = SyncSimBuilder::new(N)
         .seed(0)
-        .backend(backend)
+        .backend(PortBackend::Sparse)
         .build_in(&mut arena, |id, _| {
             improved_le::algorithms::sync::las_vegas::Node::new(
                 id,
@@ -61,7 +48,7 @@ fn elects_at_n_65536_within_budget(backend: PortBackend) {
     let resident = arena.resident_bytes();
     let dense = PortBackend::dense_table_bytes(N);
     println!(
-        "n = {N} ({backend}): {} messages, {} rounds, {elapsed:?}, {:.1} MB resident \
+        "n = {N} (sparse): {} messages, {} rounds, {elapsed:?}, {:.1} MB resident \
          (dense tables would be {:.1} GB)",
         outcome.stats.total(),
         outcome.rounds,
