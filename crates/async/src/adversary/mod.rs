@@ -226,8 +226,9 @@ pub trait Adversary {
     /// Fault-injection hook of the faulty network layer: whether this
     /// transmission attempt (payload, retransmission, or ack alike) is
     /// destroyed in transit. Consulted once per attempt, *only* when a
-    /// [`NetworkConfig`](crate::network::NetworkConfig) is active — so the
-    /// default fault-free engine never calls it and stays byte-identical.
+    /// [`NetworkConfig`](crate::network::NetworkConfig) is active: an
+    /// inactive network is a pass-through with no fault draws and no
+    /// fault accounting, so it never calls this hook.
     /// `rng` is the adversary's own fault stream — independent of the
     /// delay, node, resolver, and *engine* fault streams, so however much
     /// an adversary draws here, the engine's configured loss coins are

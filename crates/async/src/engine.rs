@@ -4,11 +4,12 @@ use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use clique_model::ids::{Id, IdAssignment, IdSpace};
+use clique_model::ids::{Id, IdAssignment};
 use clique_model::metrics::MessageStats;
 use clique_model::ports::{Port, PortBackend, PortMap, PortResolver, RandomResolver};
 use clique_model::prof::{self, Phase};
 use clique_model::rng::{coin, derive_seed, rng_from_seed, sample_distinct};
+use clique_model::setup;
 use clique_model::trace::{At, FaultKind, TraceEvent, TraceSink, Tracer, ALL_CLASSES};
 use clique_model::{Decision, ModelError, NodeIndex, Topology, WakeCause};
 use rand::rngs::SmallRng;
@@ -24,9 +25,9 @@ use crate::outcome::{AsyncHaltReason, AsyncOutcome};
 use crate::wakeup::AsyncWakeSchedule;
 
 /// Seed stream tags (mirroring the synchronous engine), so every consumer of
-/// randomness gets an independent deterministic stream.
+/// randomness gets an independent deterministic stream (`u64::MAX - 1`, ID
+/// sampling, is [`setup`]'s).
 const STREAM_RESOLVER: u64 = u64::MAX;
-const STREAM_IDS: u64 = u64::MAX - 1;
 const STREAM_DELAYS: u64 = u64::MAX - 2;
 const STREAM_FAULTS: u64 = u64::MAX - 3;
 const STREAM_ADV_FAULTS: u64 = u64::MAX - 4;
@@ -42,8 +43,8 @@ fn link_key(src: NodeIndex, dst: NodeIndex, n: usize) -> usize {
 enum EventKind<M> {
     /// The adversary wakes a node.
     Wake(NodeIndex),
-    /// A message is delivered (fault-free engine, or an active network
-    /// without the reliability protocol).
+    /// A payload is delivered (a network without the reliability
+    /// protocol).
     Deliver {
         src: NodeIndex,
         dst: NodeIndex,
@@ -167,22 +168,6 @@ impl AsyncArena {
     /// (useful between sweep cells at very large `n`).
     pub fn clear(&mut self) {
         *self = AsyncArena::default();
-    }
-
-    /// Takes a map for a trial on `topo` and `backend`: the recycled one
-    /// (reset in O(touched-state)) when both the topology fingerprint and
-    /// the resolved backend match, a fresh one otherwise.
-    fn take_ports(&mut self, topo: &Topology, backend: PortBackend) -> Result<PortMap, ModelError> {
-        let backend = backend.resolve_for(topo.n(), topo.m());
-        match self.ports.take() {
-            Some(mut map)
-                if map.topology_fingerprint() == topo.fingerprint() && map.backend() == backend =>
-            {
-                map.reset();
-                Ok(map)
-            }
-            _ => PortMap::for_topology(topo, backend),
-        }
     }
 
     /// Backend-reported estimate of the bytes resident in the recycled
@@ -366,10 +351,10 @@ impl AsyncSimBuilder {
     ///
     /// Default: the `LE_LOSS`/`LE_LINK_RATE`/`LE_QUEUE_CAP`/`LE_CRASH`
     /// environment selection, and the transparent fault-free network when
-    /// all four are unset. The transparent default
-    /// ([`NetworkConfig::default`]) routes dispatch through the exact
-    /// fault-free code path, so executions reproduce pre-fault-layer runs
-    /// byte-identically.
+    /// all four are unset. An inactive network (such as
+    /// [`NetworkConfig::default`]) is a pass-through with no fault draws
+    /// and no fault accounting: every message gets one adversary delay
+    /// and arrives exactly once.
     pub fn network(mut self, network: NetworkConfig) -> Self {
         self.network = Some(network);
         self
@@ -431,42 +416,17 @@ impl AsyncSimBuilder {
     {
         let _build = prof::span(Phase::Build);
         let n = self.n;
-        if n < 2 {
-            return Err(ModelError::NetworkTooSmall { n });
-        }
-        let ids = match self.ids {
-            Some(ids) => ids,
-            None => {
-                let mut id_rng = rng_from_seed(derive_seed(self.seed, STREAM_IDS));
-                IdSpace::quasilinear(n).assign(n, &mut id_rng)?
-            }
-        };
-        if ids.len() != n {
-            return Err(ModelError::NodeOutOfRange {
-                node: NodeIndex(ids.len()),
-                n,
-            });
-        }
-        let topo = match self.topology {
-            Some(t) => t,
-            None => Topology::from_env(n),
-        };
-        if topo.n() != n {
-            return Err(ModelError::InvalidTopology {
-                reason: "topology node count does not match the builder's n",
-            });
-        }
+        let (ids, topo) = setup::ids_and_topology(n, self.seed, self.ids, self.topology)?;
         let backend = self
             .backend
             .unwrap_or_else(PortBackend::from_env)
             .resolve_for(n, topo.m());
-        let ports = arena.take_ports(&topo, backend)?;
+        let ports = setup::take_ports(&mut arena.ports, &topo, backend)?;
         let fifo_front = std::mem::take(&mut arena.fifo_front).recycle(backend, n);
         let net = self
             .network
             .or_else(NetworkConfig::from_env)
             .unwrap_or_default();
-        let net_active = net.is_active();
         let net_service = net.service();
         // The busy-horizon table is only materialized when the capacity
         // model is on — a fault-free (or capacity-free) dense trial must
@@ -508,44 +468,42 @@ impl AsyncSimBuilder {
         }
 
         let mut fault_rng = rng_from_seed(derive_seed(self.seed, STREAM_FAULTS));
-        if net_active {
-            for cf in net.fault_plan().scheduled() {
-                assert!(
-                    cf.node.0 < n,
-                    "crash fault targets {} outside the {n}-node network",
-                    cf.node
-                );
+        for cf in net.fault_plan().scheduled() {
+            assert!(
+                cf.node.0 < n,
+                "crash fault targets {} outside the {n}-node network",
+                cf.node
+            );
+            queue.push(Event {
+                time: cf.at,
+                seq,
+                kind: EventKind::Crash(cf.node),
+            });
+            seq += 1;
+            if let Some(back) = cf.recover_at {
                 queue.push(Event {
-                    time: cf.at,
+                    time: back,
                     seq,
-                    kind: EventKind::Crash(cf.node),
+                    kind: EventKind::Recover(cf.node),
                 });
                 seq += 1;
-                if let Some(back) = cf.recover_at {
-                    queue.push(Event {
-                        time: back,
-                        seq,
-                        kind: EventKind::Recover(cf.node),
-                    });
-                    seq += 1;
-                }
             }
-            if let Some(rc) = net.fault_plan().random() {
-                // Never crash everyone: cap victims at n - 1 so the
-                // execution retains at least one live node.
-                let k = ((rc.frac * n as f64).round() as usize).min(n.saturating_sub(1));
-                let victims = sample_distinct(&mut fault_rng, n, k);
-                for v in victims {
-                    // Uniform over (0, window]: a crash at exactly 0 would
-                    // be indistinguishable from never scheduling the node.
-                    let t = rc.window * (1.0 - fault_rng.gen::<f64>());
-                    queue.push(Event {
-                        time: t,
-                        seq,
-                        kind: EventKind::Crash(NodeIndex(v)),
-                    });
-                    seq += 1;
-                }
+        }
+        if let Some(rc) = net.fault_plan().random() {
+            // Never crash everyone: cap victims at n - 1 so the
+            // execution retains at least one live node.
+            let k = ((rc.frac * n as f64).round() as usize).min(n.saturating_sub(1));
+            let victims = sample_distinct(&mut fault_rng, n, k);
+            for v in victims {
+                // Uniform over (0, window]: a crash at exactly 0 would
+                // be indistinguishable from never scheduling the node.
+                let t = rc.window * (1.0 - fault_rng.gen::<f64>());
+                queue.push(Event {
+                    time: t,
+                    seq,
+                    kind: EventKind::Crash(NodeIndex(v)),
+                });
+                seq += 1;
             }
         }
 
@@ -587,7 +545,7 @@ impl AsyncSimBuilder {
             busy_now: 0.0,
             wake_all_time: None,
             last_scheduled_wake,
-            net_active,
+            net_active: net.is_active(),
             net_service,
             net_queue_cap: net.queue_capacity(),
             net_loss: net.loss_probability(),
@@ -638,12 +596,15 @@ pub struct AsyncSim<N: AsyncNode> {
     /// Time of the last *effective* event — everything except a stale
     /// retransmission-timer pop. This is the reported time complexity:
     /// an uncancellable timer whose payload was already acknowledged
-    /// must not inflate it. Identical to `now` on the fault-free path.
+    /// must not inflate it. Identical to `now` without the reliability
+    /// protocol.
     busy_now: f64,
     wake_all_time: Option<f64>,
     last_scheduled_wake: f64,
-    /// Whether any fault/capacity feature is on; `false` routes dispatch
-    /// through the exact legacy code path (byte-identical executions).
+    /// Whether any fault/capacity feature is on. An inactive network is a
+    /// pass-through with no fault draws and no fault accounting: the
+    /// fault counters stay zero and [`Adversary::induces_loss`] is never
+    /// called.
     net_active: bool,
     /// Per-message link service time (`1/rate`; 0 = infinite capacity).
     net_service: f64,
@@ -753,8 +714,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         // network) is a fault-induced livelock, not a clean drain. This is
         // checked only here — MaxEvents above always wins when the cap
         // fires first, so the two halts are never conflated.
-        if self.net_active && (self.stats.faults.lost_payloads > 0 || self.crashed_count == self.n)
-        {
+        if self.stats.faults.lost_payloads > 0 || self.crashed_count == self.n {
             return Ok(AsyncHaltReason::FaultLivelock);
         }
         Ok(AsyncHaltReason::QueueDrained)
@@ -805,49 +765,14 @@ impl<N: AsyncNode> AsyncSim<N> {
                 dst_port,
                 msg,
             } => {
-                if self.net_active && self.crashed[dst.0] {
+                if self.crashed[dst.0] {
                     // A crashed node swallows the message silently; with
                     // no reliability layer the payload is gone for good.
                     self.stats.faults.crash_drops += 1;
                     self.stats.faults.lost_payloads += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Fault {
-                            at: At::Time(self.now),
-                            kind: FaultKind::CrashDrop,
-                            src: src.0 as u32,
-                            dst: dst.0 as u32,
-                        });
-                    }
+                    self.trace_fault(FaultKind::CrashDrop, src, dst);
                 } else {
-                    if self.net_active {
-                        self.stats.faults.goodput += 1;
-                    }
-                    self.transcript.record_delivery(dst);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Deliver {
-                            at: At::Time(self.now),
-                            src: src.0 as u32,
-                            dst: dst.0 as u32,
-                            cls: Some(N::classify(&msg).name()),
-                        });
-                    }
-                    if self.nodes[dst.0].is_terminated() {
-                        self.messages_to_terminated += 1;
-                    } else {
-                        let wake = if self.awake[dst.0] {
-                            None
-                        } else {
-                            Some(WakeCause::Message)
-                        };
-                        self.activate(
-                            dst,
-                            wake,
-                            Some(Received {
-                                port: dst_port,
-                                msg,
-                            }),
-                        )?;
-                    }
+                    self.deliver_payload(src, dst, dst_port, msg)?;
                 }
             }
             EventKind::DeliverData {
@@ -861,14 +786,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                     // Crashed receivers neither deliver nor acknowledge;
                     // the sender's retransmission timer keeps trying.
                     self.stats.faults.crash_drops += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Fault {
-                            at: At::Time(self.now),
-                            kind: FaultKind::CrashDrop,
-                            src: src.0 as u32,
-                            dst: dst.0 as u32,
-                        });
-                    }
+                    self.trace_fault(FaultKind::CrashDrop, src, dst);
                 } else {
                     let key = link_key(src, dst, self.n) as u64;
                     let link = self.rel.entry(key);
@@ -882,33 +800,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                     // previous ack was lost or late.
                     self.send_ack(dst, src, data_seq)?;
                     if fresh {
-                        self.stats.faults.goodput += 1;
-                        self.transcript.record_delivery(dst);
-                        if self.tracer.enabled() {
-                            self.tracer.emit(TraceEvent::Deliver {
-                                at: At::Time(self.now),
-                                src: src.0 as u32,
-                                dst: dst.0 as u32,
-                                cls: Some(N::classify(&msg).name()),
-                            });
-                        }
-                        if self.nodes[dst.0].is_terminated() {
-                            self.messages_to_terminated += 1;
-                        } else {
-                            let wake = if self.awake[dst.0] {
-                                None
-                            } else {
-                                Some(WakeCause::Message)
-                            };
-                            self.activate(
-                                dst,
-                                wake,
-                                Some(Received {
-                                    port: dst_port,
-                                    msg,
-                                }),
-                            )?;
-                        }
+                        self.deliver_payload(src, dst, dst_port, msg)?;
                     }
                 }
             }
@@ -955,14 +847,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                             // and move on to the backlog.
                             self.stats.faults.abandoned += 1;
                             self.stats.faults.lost_payloads += 1;
-                            if self.tracer.enabled() {
-                                self.tracer.emit(TraceEvent::Fault {
-                                    at: At::Time(self.now),
-                                    kind: FaultKind::Abandon,
-                                    src: src.0 as u32,
-                                    dst: dst.0 as u32,
-                                });
-                            }
+                            self.trace_fault(FaultKind::Abandon, src, dst);
                             self.begin_next_payload(src, dst)?;
                         } else {
                             self.send_reliable_copy(src, dst)?;
@@ -983,20 +868,67 @@ impl<N: AsyncNode> AsyncSim<N> {
         Ok(true)
     }
 
+    /// Hands a payload that survived the network to its receiver: the
+    /// transcript, the `Deliver` trace event, and the receiver's hooks (a
+    /// terminated receiver only counts it).
+    fn deliver_payload(
+        &mut self,
+        src: NodeIndex,
+        dst: NodeIndex,
+        dst_port: Port,
+        msg: N::Message,
+    ) -> Result<(), ModelError> {
+        if self.net_active {
+            self.stats.faults.goodput += 1;
+        }
+        self.transcript.record_delivery(dst);
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::Deliver {
+                at: At::Time(self.now),
+                src: src.0 as u32,
+                dst: dst.0 as u32,
+                cls: Some(N::classify(&msg).name()),
+            });
+        }
+        if self.nodes[dst.0].is_terminated() {
+            self.messages_to_terminated += 1;
+            return Ok(());
+        }
+        let wake = if self.awake[dst.0] {
+            None
+        } else {
+            Some(WakeCause::Message)
+        };
+        self.activate(
+            dst,
+            wake,
+            Some(Received {
+                port: dst_port,
+                msg,
+            }),
+        )
+    }
+
+    /// Emits a `Fault` trace event of `kind` on link `src → dst` (a
+    /// crash or recovery names the node as both ends).
+    fn trace_fault(&mut self, kind: FaultKind, src: NodeIndex, dst: NodeIndex) {
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::Fault {
+                at: At::Time(self.now),
+                kind,
+                src: src.0 as u32,
+                dst: dst.0 as u32,
+            });
+        }
+    }
+
     /// Fells `v`: from now on it neither wakes, nor receives, nor sends
     /// (its retransmission timers are ignored while down).
     fn crash_now(&mut self, v: NodeIndex) {
         if !self.crashed[v.0] {
             self.crashed[v.0] = true;
             self.crashed_count += 1;
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::Fault {
-                    at: At::Time(self.now),
-                    kind: FaultKind::Crash,
-                    src: v.0 as u32,
-                    dst: v.0 as u32,
-                });
-            }
+            self.trace_fault(FaultKind::Crash, v, v);
         }
     }
 
@@ -1011,14 +943,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         self.crashed[v.0] = false;
         self.crashed_count -= 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(TraceEvent::Fault {
-                at: At::Time(self.now),
-                kind: FaultKind::Recover,
-                src: v.0 as u32,
-                dst: v.0 as u32,
-            });
-        }
+        self.trace_fault(FaultKind::Recover, v, v);
         let Some(rel_cfg) = self.rel_cfg else {
             return;
         };
@@ -1111,11 +1036,11 @@ impl<N: AsyncNode> AsyncSim<N> {
         Ok(())
     }
 
-    /// Resolves the port and hands the message to the network: on the
-    /// fault-free path the adversary picks a delay and the delivery is
-    /// enqueued directly (respecting per-link FIFO order); on the faulty
-    /// path the message runs the capacity/loss/crash gauntlet, optionally
-    /// under the reliability protocol.
+    /// Resolves the port and hands the message to the network: it runs
+    /// the capacity/loss/crash gauntlet, optionally under the reliability
+    /// protocol. An inactive network is a pass-through: the adversary
+    /// picks a delay and the delivery is enqueued under the per-link FIFO
+    /// floor, with no fault draws and no fault accounting.
     fn dispatch(&mut self, src: NodeIndex, port: Port, msg: N::Message) -> Result<(), ModelError> {
         let dst = self
             .ports
@@ -1130,52 +1055,6 @@ impl<N: AsyncNode> AsyncSim<N> {
                 cls: Some(class.name()),
             });
         }
-        if !self.net_active {
-            // The pre-fault-layer dispatch path, verbatim: the transparent
-            // default network must reproduce executions byte-identically.
-            let obs = Observation {
-                src,
-                dst: dst.node,
-                now: self.now,
-                class,
-                transcript: &self.transcript,
-            };
-            let delay = self.adversary.delay(&obs, &mut self.delay_rng);
-            // Enforced in every build profile: a NaN here would survive any
-            // clamp, poison `deliver_at` and the FIFO floor, and break the
-            // event heap's ordering (which requires finite times).
-            if !(delay > 0.0 && delay <= 1.0) {
-                return Err(ModelError::InvalidDelay {
-                    adversary: self.adversary.name(),
-                    delay: format!("{delay}"),
-                });
-            }
-            self.transcript.record_send(src);
-            let floor = self.fifo_front.slot_mut(link_key(src, dst.node, self.n));
-            let deliver_at = (self.now + delay).max(*floor);
-            *floor = deliver_at;
-            self.stats.record(self.now.floor() as usize + 1, src);
-            self.queue.push(Event {
-                time: deliver_at,
-                seq: self.seq,
-                kind: EventKind::Deliver {
-                    src,
-                    dst: dst.node,
-                    dst_port: dst.port,
-                    msg,
-                },
-            });
-            self.seq += 1;
-            return Ok(());
-        }
-
-        // Faulty path. The algorithm-facing accounting (transcript,
-        // MessageStats histogram) happens here, at payload level — wire
-        // retransmissions and acks below are protocol overhead, counted
-        // only in the fault counters.
-        self.transcript.record_send(src);
-        self.stats.record(self.now.floor() as usize + 1, src);
-        self.stats.faults.payloads += 1;
         if self.rel_cfg.is_some() {
             let key = link_key(src, dst.node, self.n) as u64;
             let link = self.rel.entry(key);
@@ -1215,14 +1094,26 @@ impl<N: AsyncNode> AsyncSim<N> {
                 }
             }
         }
+        // The algorithm-facing accounting (transcript, MessageStats
+        // histogram) happens here, at payload level and after the
+        // dispatch-time adversary call, so the adversary's transcript
+        // excludes the message it is scheduling. Wire retransmissions and
+        // acks are protocol overhead, counted only in the fault counters.
+        self.transcript.record_send(src);
+        self.stats.record(self.now.floor() as usize + 1, src);
+        if self.net_active {
+            self.stats.faults.payloads += 1;
+        }
         Ok(())
     }
 
-    /// One wire transmission attempt on the faulty network: link-queue
-    /// admission, loss (configured and adversarial), delay, the adaptive
-    /// crash directive, and the FIFO floor. The consultation order is
-    /// fixed — admission, loss coin, adversary loss, adversary delay,
-    /// crash directive — so recorded fault traces replay exactly.
+    /// One wire transmission attempt: link-queue admission, loss
+    /// (configured and adversarial), delay, the adaptive crash directive,
+    /// and the FIFO floor. The consultation order is fixed — admission,
+    /// loss coin, adversary loss, adversary delay, crash directive — so
+    /// recorded fault traces replay exactly. On an inactive network only
+    /// the delay and the FIFO floor remain: no link occupancy, no fault
+    /// draws, and [`Adversary::induces_loss`] is never called.
     fn transmit_raw(
         &mut self,
         src: NodeIndex,
@@ -1254,14 +1145,16 @@ impl<N: AsyncNode> AsyncSim<N> {
                 class,
                 transcript: &self.transcript,
             };
-            let mut lost = self.net_loss > 0.0 && coin(&mut self.fault_rng, self.net_loss);
-            if !lost {
-                lost = self.adversary.induces_loss(&obs, &mut self.adv_fault_rng);
-            }
+            let lost = (self.net_loss > 0.0 && coin(&mut self.fault_rng, self.net_loss))
+                || (self.net_active && self.adversary.induces_loss(&obs, &mut self.adv_fault_rng));
             if lost {
                 WireFate::Lost
             } else {
                 let delay = self.adversary.delay(&obs, &mut self.delay_rng);
+                // Enforced in every build profile: a NaN here would survive
+                // any clamp, poison the delivery time and the FIFO floor,
+                // and break the event heap's ordering (which requires
+                // finite times).
                 if !(delay > 0.0 && delay <= 1.0) {
                     return Err(ModelError::InvalidDelay {
                         adversary: self.adversary.name(),
@@ -1302,26 +1195,12 @@ impl<N: AsyncNode> AsyncSim<N> {
             }
             WireFate::QueueDrop => {
                 self.stats.faults.queue_drops += 1;
-                if self.tracer.enabled() {
-                    self.tracer.emit(TraceEvent::Fault {
-                        at: At::Time(self.now),
-                        kind: FaultKind::Queue,
-                        src: src.0 as u32,
-                        dst: dst.0 as u32,
-                    });
-                }
+                self.trace_fault(FaultKind::Queue, src, dst);
                 WireFate::QueueDrop
             }
             WireFate::Lost => {
                 self.stats.faults.loss_drops += 1;
-                if self.tracer.enabled() {
-                    self.tracer.emit(TraceEvent::Fault {
-                        at: At::Time(self.now),
-                        kind: FaultKind::Loss,
-                        src: src.0 as u32,
-                        dst: dst.0 as u32,
-                    });
-                }
+                self.trace_fault(FaultKind::Loss, src, dst);
                 WireFate::Lost
             }
         })
@@ -1341,14 +1220,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         };
         if attempts > 0 {
             self.stats.faults.retransmits += 1;
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::Fault {
-                    at: At::Time(self.now),
-                    kind: FaultKind::Retransmit,
-                    src: src.0 as u32,
-                    dst: dst.0 as u32,
-                });
-            }
+            self.trace_fault(FaultKind::Retransmit, src, dst);
         }
         let class = N::classify(&msg);
         if let WireFate::At(t) = self.transmit_raw(src, dst, class)? {
@@ -1401,14 +1273,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         data_seq: u32,
     ) -> Result<(), ModelError> {
         self.stats.faults.acks += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(TraceEvent::Fault {
-                at: At::Time(self.now),
-                kind: FaultKind::Ack,
-                src: from.0 as u32,
-                dst: to.0 as u32,
-            });
-        }
+        self.trace_fault(FaultKind::Ack, from, to);
         if let WireFate::At(t) = self.transmit_raw(from, to, MessageClass::Ack)? {
             self.queue.push(Event {
                 time: t,
@@ -2088,6 +1953,7 @@ mod tests {
     // ----- faulty network layer -----
 
     use crate::network::{FaultPlan, NetworkConfig, Reliability};
+    use clique_model::metrics::FaultCounters;
 
     fn full_fingerprint(o: &AsyncOutcome) -> impl PartialEq + std::fmt::Debug {
         (
@@ -2124,6 +1990,76 @@ mod tests {
             assert_eq!(full_fingerprint(&legacy), full_fingerprint(&transparent));
             assert_eq!(legacy.stats.faults, Default::default());
         }
+    }
+
+    #[test]
+    fn transcript_excludes_the_scheduled_message_on_any_network() {
+        use crate::adversary::{Adversary, Capability, Observation};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        // Records `sent(src)` as the adversary sees it at each dispatch.
+        struct SentProbe(Rc<RefCell<Vec<u64>>>);
+        impl Adversary for SentProbe {
+            fn delay(&mut self, obs: &Observation<'_>, _rng: &mut SmallRng) -> f64 {
+                self.0.borrow_mut().push(obs.transcript.sent(obs.src));
+                0.5
+            }
+            fn name(&self) -> String {
+                "sent-probe".into()
+            }
+            fn capability(&self) -> Capability {
+                Capability::Adaptive
+            }
+        }
+        let seen = |net: NetworkConfig| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            AsyncSimBuilder::new(6)
+                .seed(1)
+                .wake(AsyncWakeSchedule::single(NodeIndex(0)))
+                .adversary(Box::new(SentProbe(log.clone())))
+                .network(net)
+                .build(Flood::new)
+                .unwrap()
+                .run()
+                .unwrap()
+                .validate_explicit()
+                .unwrap();
+            log.take()
+        };
+        let clean = seen(NetworkConfig::default());
+        assert_eq!(&clean[..5], &[0, 1, 2, 3, 4]);
+        assert_eq!(clean, seen(NetworkConfig::new().link_rate(1e9)));
+    }
+
+    #[test]
+    fn inactive_network_never_consults_induces_loss() {
+        use crate::adversary::{Oblivious, TargetedLoss, UniformDelay};
+        let run = |targeted: bool, net: NetworkConfig| {
+            let inner = Box::new(Oblivious::new(UniformDelay::full()));
+            let adversary: Box<dyn Adversary> = if targeted {
+                Box::new(TargetedLoss::new(inner, 0.5))
+            } else {
+                inner
+            };
+            AsyncSimBuilder::new(10)
+                .seed(3)
+                .adversary(adversary)
+                .network(net)
+                .build(Flood::new)
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let gated = run(true, NetworkConfig::default());
+        assert_eq!(gated.stats.faults, FaultCounters::default());
+        assert_eq!(
+            full_fingerprint(&gated),
+            full_fingerprint(&run(false, NetworkConfig::default()))
+        );
+        // The same adversary does destroy traffic once the network is on.
+        let active = run(true, NetworkConfig::new().link_rate(1e9));
+        assert!(active.stats.faults.loss_drops > 0);
     }
 
     #[test]

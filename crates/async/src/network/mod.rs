@@ -13,8 +13,10 @@
 //!
 //! Everything is **off by default**: [`NetworkConfig::default`] (infinite
 //! rate, unbounded queues, zero loss, no reliability layer, empty fault
-//! plan) makes the engine take the exact legacy dispatch path, so all
-//! existing executions stay byte-identical. Configure faults through
+//! plan) is inactive, and an inactive network is a pass-through with no
+//! fault draws and no fault accounting — every message gets one adversary
+//! delay and arrives exactly once, in per-link FIFO order. Configure
+//! faults through
 //! [`AsyncSimBuilder::network`](crate::AsyncSimBuilder::network) or the
 //! `LE_LOSS` / `LE_LINK_RATE` / `LE_QUEUE_CAP` / `LE_CRASH` environment
 //! knobs (validated and latched once, like `LE_BACKEND` / `LE_THREADS`).
@@ -319,8 +321,9 @@ impl NetworkConfig {
         self
     }
 
-    /// Whether any feature deviates from the transparent default — when
-    /// `false`, the engine takes the legacy dispatch path untouched.
+    /// Whether any feature deviates from the transparent default. An
+    /// inactive network is a pass-through with no fault draws and no
+    /// fault accounting.
     pub fn is_active(&self) -> bool {
         self.link_rate.is_finite()
             || self.queue_cap != usize::MAX

@@ -29,6 +29,8 @@
 //!   random-regular, explicit edge lists; the latched `LE_TOPOLOGY`
 //!   knob) whose per-node port spaces the engines and port backends
 //!   draw from,
+//! * [`setup`] — the per-trial ID, topology and recycled port-map setup
+//!   both engine builders run,
 //! * [`prof`] — the `LE_PROF`/`LE_TIMING` phase profiler (span timers
 //!   folded into per-cell timing columns by the sweep runner),
 //! * [`error`] — shared error types.
@@ -71,6 +73,7 @@ pub mod metrics;
 pub mod ports;
 pub mod prof;
 pub mod rng;
+pub mod setup;
 pub mod topology;
 pub mod trace;
 

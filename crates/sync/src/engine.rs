@@ -2,11 +2,12 @@
 
 use std::any::Any;
 
-use clique_model::ids::{Id, IdAssignment, IdSpace};
+use clique_model::ids::{Id, IdAssignment};
 use clique_model::metrics::MessageStats;
 use clique_model::ports::{Endpoint, PortBackend, PortMap, PortResolver, RandomResolver};
 use clique_model::prof::{self, Phase};
 use clique_model::rng::{derive_seed, rng_from_seed};
+use clique_model::setup;
 use clique_model::trace::{At, TraceEvent, TraceSink, Tracer, ALL_CLASSES};
 use clique_model::{Decision, ModelError, NodeIndex, Topology};
 use rand::rngs::SmallRng;
@@ -17,9 +18,9 @@ use crate::outcome::{HaltReason, Outcome};
 use crate::wakeup::WakeSchedule;
 
 /// Seed stream tags, so every consumer of randomness gets an independent
-/// deterministic stream derived from the master seed.
+/// deterministic stream derived from the master seed (`u64::MAX - 1`, ID
+/// sampling, is [`setup`]'s).
 const STREAM_RESOLVER: u64 = u64::MAX;
-const STREAM_IDS: u64 = u64::MAX - 1;
 const STREAM_NODE_BASE: u64 = 0;
 
 /// Reusable simulation state for repeated trials: the `Θ(n²)` [`PortMap`],
@@ -82,22 +83,6 @@ impl SyncArena {
     /// (useful between sweep cells at very large `n`).
     pub fn clear(&mut self) {
         *self = SyncArena::default();
-    }
-
-    /// Takes a map for a trial on `topo` and `backend`: the recycled one
-    /// (reset in O(touched-state)) when both the topology fingerprint and
-    /// the resolved backend match, a fresh one otherwise.
-    fn take_ports(&mut self, topo: &Topology, backend: PortBackend) -> Result<PortMap, ModelError> {
-        let backend = backend.resolve_for(topo.n(), topo.m());
-        match self.ports.take() {
-            Some(mut map)
-                if map.topology_fingerprint() == topo.fingerprint() && map.backend() == backend =>
-            {
-                map.reset();
-                Ok(map)
-            }
-            _ => PortMap::for_topology(topo, backend),
-        }
     }
 
     /// Backend-reported estimate of the bytes resident in the recycled
@@ -296,32 +281,12 @@ impl SyncSimBuilder {
     {
         let _build = prof::span(Phase::Build);
         let n = self.n;
-        if n < 2 {
-            return Err(ModelError::NetworkTooSmall { n });
-        }
-        let ids = match self.ids {
-            Some(ids) => ids,
-            None => {
-                let mut id_rng = rng_from_seed(derive_seed(self.seed, STREAM_IDS));
-                IdSpace::quasilinear(n).assign(n, &mut id_rng)?
-            }
-        };
-        if ids.len() != n {
-            return Err(ModelError::NodeOutOfRange {
-                node: NodeIndex(ids.len()),
-                n,
-            });
-        }
-        let topo = match self.topology {
-            Some(t) => t,
-            None => Topology::from_env(n),
-        };
-        if topo.n() != n {
-            return Err(ModelError::InvalidTopology {
-                reason: "topology node count does not match the builder's n",
-            });
-        }
-        let ports = arena.take_ports(&topo, self.backend.unwrap_or_else(PortBackend::from_env))?;
+        let (ids, topo) = setup::ids_and_topology(n, self.seed, self.ids, self.topology)?;
+        let ports = setup::take_ports(
+            &mut arena.ports,
+            &topo,
+            self.backend.unwrap_or_else(PortBackend::from_env),
+        )?;
         let mut bufs: SyncBuffers<N::Message> = arena
             .buffers
             .take()
