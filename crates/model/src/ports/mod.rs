@@ -1048,6 +1048,37 @@ mod tests {
     }
 
     #[test]
+    fn auto_boundary_is_pinned_at_n_17515() {
+        // The last dense clique under `auto`, through both resolvers. A
+        // change to the dense layout rescales the budget with it, so this
+        // boundary must not move.
+        assert_eq!(PortBackend::Auto.resolve(17515), PortBackend::Dense);
+        assert_eq!(PortBackend::Auto.resolve(17516), PortBackend::Sparse);
+        let m = |n: u64| n * (n - 1) / 2;
+        assert_eq!(
+            PortBackend::Auto.resolve_for(17515, m(17515)),
+            PortBackend::Dense
+        );
+        assert_eq!(
+            PortBackend::Auto.resolve_for(17516, m(17516)),
+            PortBackend::Sparse
+        );
+    }
+
+    #[test]
+    fn dense_table_bytes_is_the_dense_allocation() {
+        // `auto` budgets exactly what a fresh dense map allocates.
+        for n in [2usize, 3, 64, 1000] {
+            let map = PortMap::with_backend(n, PortBackend::Dense).unwrap();
+            assert_eq!(
+                map.resident_bytes(),
+                PortBackend::dense_table_bytes(n),
+                "dense budget formula diverged from the allocation at n = {n}"
+            );
+        }
+    }
+
+    #[test]
     fn dense_table_bytes_is_overflow_safe_at_huge_n() {
         // n = 2²⁰ is exact: 20n(n−1) + 8n² + 4n fits comfortably in u64.
         let n = 1u64 << 20;
