@@ -65,6 +65,15 @@ pub enum ModelError {
         /// The offending delay, pre-formatted (`f64` is not `Eq`).
         delay: String,
     },
+    /// The dense port-map backend was requested for more nodes than its
+    /// `u16` tables can represent. Checked in *all* build profiles, before
+    /// any table is allocated.
+    DenseTooLarge {
+        /// The requested network size.
+        n: usize,
+        /// The largest network the dense backend supports.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for ModelError {
@@ -98,6 +107,10 @@ impl std::fmt::Display for ModelError {
             ModelError::InvalidDelay { adversary, delay } => write!(
                 f,
                 "adversary {adversary} returned delay {delay}, outside (0, 1]"
+            ),
+            ModelError::DenseTooLarge { n, max } => write!(
+                f,
+                "dense port map supports at most {max} nodes, got {n} (use the sparse backend)"
             ),
         }
     }

@@ -1,48 +1,103 @@
-//! The dense backend: today's flat tables, verbatim.
+//! The dense backend: flat `u16` tables grouped by the index they are
+//! read through.
 //!
-//! All tables are dense row-major arrays (`O(n²)` words, allocated once in
-//! [`DenseStore::new`]): a forward table `(u, i) → (v, j)`, a peer-to-port
-//! table `(u, v) → i`, and — the piece that makes uniform resolution O(1) —
-//! one *partitioned permutation* per node over its peers and one over its
-//! ports. The first `degree(u)` entries of `u`'s peer permutation are its
-//! connected peers; the remainder are the unconnected ones, so a uniform
-//! fresh peer is a single indexed draw (partial Fisher–Yates) instead of
-//! rejection sampling, and connecting a pair is two O(1) swaps. The port
-//! permutation is maintained identically for free-port draws. Every
-//! operation on the store is O(1) with no hashing — which is why this
-//! backend stays the default wherever its `Θ(n²)` words fit.
+//! Every table is a dense row-major array allocated once in
+//! [`DenseStore::new`]. Besides the forward mapping `(u, i) → (v, j)` and
+//! the peer-to-port index `(u, v) → i`, each node keeps one *partitioned
+//! permutation* over its peers and one over its ports — the piece that
+//! makes uniform resolution O(1). The first `degree(u)` entries of `u`'s
+//! peer permutation are its connected peers and the remainder the
+//! unconnected ones, so a uniform fresh peer is a single indexed draw
+//! (partial Fisher–Yates) instead of rejection sampling, and connecting a
+//! pair is two O(1) swaps. The port permutation is maintained identically
+//! for free-port draws. Every operation is O(1) with no hashing — which is
+//! why this backend stays the default wherever its `Θ(n²)` entries fit.
+//!
+//! # Layout
+//!
+//! The fields live in three tables, one per index they are read through,
+//! so the fields an access needs together share a cache line:
+//!
+//! * **position-indexed** `u·(n−1) + k` → [`PosEntry`]: the peer and the
+//!   port at position `k` of `u`'s two permutations;
+//! * **peer-indexed** `u·n + v` → [`PeerEntry`]: the port of `u` leading
+//!   to `v`, and `v`'s position in `u`'s peer permutation;
+//! * **port-indexed** `u·(n−1) + p` → [`PortEntry`]: the endpoint port `p`
+//!   leads to, and `p`'s position in `u`'s port permutation.
+//!
+//! Fixing a link therefore writes, per endpoint, seven entries on at most
+//! seven cache lines: the new peer's and port's entries (each written
+//! whole — link and new position together), the displaced peer's and
+//! port's positions, and the three position slots of the two swaps, the
+//! boundary slot `degree(u)` serving both. One table per field would
+//! spread the same writes over ten lines, each entry twice as wide.
+//!
+//! Every entry is a node, port or position below `n`, stored as a `u16`
+//! with [`u16::MAX`] as the one "unassigned" sentinel: 14 bytes per
+//! ordered node pair, and a hard limit of `n ≤` [`MAX_N`] `= 65535`
+//! (checked by the facade before anything is allocated).
 
 use super::{Endpoint, Port, PortStore};
 use crate::error::ModelError;
 use crate::NodeIndex;
 
-/// Sentinel for "unassigned" entries of the flat tables.
-const EMPTY_U32: u32 = u32::MAX;
-/// Sentinel for unassigned forward-table entries.
-const EMPTY_U64: u64 = u64::MAX;
+/// Sentinel for "unassigned" entries of every table.
+const EMPTY: u16 = u16::MAX;
+
+/// The largest `n` the `u16` tables can represent: node indices, ports and
+/// positions must all stay below the sentinel.
+pub(super) const MAX_N: usize = EMPTY as usize;
+
+/// Position `k` of a node's two partitioned permutations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PosEntry {
+    /// The peer at position `k` of the peer permutation.
+    peer: u16,
+    /// The port at position `k` of the port permutation.
+    port: u16,
+}
+
+/// What node `u` knows about peer `v`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PeerEntry {
+    /// `u`'s port connecting to `v`, [`EMPTY`] while unconnected.
+    port: u16,
+    /// `v`'s position in `u`'s peer permutation ([`EMPTY`] on the unused
+    /// diagonal `v = u`).
+    pos: u16,
+}
+
+/// What node `u` knows about its own port `p`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PortEntry {
+    /// The node `p` leads to, [`EMPTY`] while unassigned.
+    peer: u16,
+    /// The port it arrives on at `peer`, [`EMPTY`] while unassigned.
+    peer_port: u16,
+    /// `p`'s position in `u`'s port permutation.
+    pos: u16,
+}
+
+/// Narrows a node, port or position to a table entry (`n ≤ MAX_N` makes
+/// every such value fit below the sentinel).
+#[inline]
+fn entry(x: usize) -> u16 {
+    debug_assert!(x < MAX_N);
+    x as u16
+}
 
 /// The flat-table storage backend (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct DenseStore {
     n: usize,
-    /// `forward[u·(n−1) + i] = (v << 32) | j` for each assigned port `i` of
-    /// `u`, [`EMPTY_U64`] otherwise.
-    forward: Vec<u64>,
-    /// `port_of[u·n + v] = i` iff `u`'s port `i` connects to `v`,
-    /// [`EMPTY_U32`] otherwise.
-    port_of: Vec<u32>,
-    /// Row `u` is a permutation of all nodes `≠ u`; the first `degree[u]`
-    /// entries are the connected peers, the rest the unconnected ones.
-    peer_perm: Vec<u32>,
-    /// `peer_pos[u·n + v]` = position of `v` in row `u` of `peer_perm`
-    /// (diagonal entries unused).
-    peer_pos: Vec<u32>,
-    /// Row `u` is a permutation of `u`'s ports; the first `degree[u]`
-    /// entries are assigned, the rest free.
-    port_perm: Vec<u32>,
-    /// `port_pos[u·(n−1) + p]` = position of port `p` in row `u` of
-    /// `port_perm`.
-    port_pos: Vec<u32>,
+    /// Row `u` (length `n − 1`): the peer permutation (all nodes `≠ u`,
+    /// connected ones first) beside the port permutation (assigned ports
+    /// first); both are partitioned at `degree[u]`.
+    by_pos: Vec<PosEntry>,
+    /// Row `u` (length `n`), indexed by peer.
+    by_peer: Vec<PeerEntry>,
+    /// Row `u` (length `n − 1`), indexed by port.
+    by_port: Vec<PortEntry>,
     /// Links incident to each node (also: assigned ports of each node).
     degree: Vec<u32>,
     /// Total number of links fixed so far.
@@ -55,34 +110,41 @@ pub(super) struct DenseStore {
 
 impl DenseStore {
     /// Allocates and eagerly initializes the flat tables for an `n`-node
-    /// clique (`n ≥ 2`, validated by the facade).
+    /// clique (`2 ≤ n ≤ MAX_N`, validated by the facade).
     pub(super) fn new(n: usize) -> Self {
-        debug_assert!(n >= 2);
-        debug_assert!(n < EMPTY_U32 as usize, "node indices must fit in u32");
+        assert!(
+            (2..=MAX_N).contains(&n),
+            "dense store needs 2 ≤ n ≤ {MAX_N}"
+        );
         let ports = n - 1;
-        let mut peer_perm = vec![0u32; n * ports];
-        let mut peer_pos = vec![EMPTY_U32; n * n];
-        let mut port_perm = vec![0u32; n * ports];
-        let mut port_pos = vec![0u32; n * ports];
+        let mut by_pos = Vec::with_capacity(n * ports);
+        let mut by_peer = Vec::with_capacity(n * n);
+        let mut by_port = Vec::with_capacity(n * ports);
         for u in 0..n {
-            let row = u * ports;
-            for k in 0..ports {
-                // Row u enumerates 0..n skipping u, in ascending order.
-                let v = k + usize::from(k >= u);
-                peer_perm[row + k] = v as u32;
-                peer_pos[u * n + v] = k as u32;
-                port_perm[row + k] = k as u32;
-                port_pos[row + k] = k as u32;
-            }
+            // Row u enumerates 0..n skipping u, in ascending order.
+            by_pos.extend((0..ports).map(|k| PosEntry {
+                peer: entry(k + usize::from(k >= u)),
+                port: entry(k),
+            }));
+            by_peer.extend((0..n).map(|v| PeerEntry {
+                port: EMPTY,
+                pos: if v == u {
+                    EMPTY
+                } else {
+                    entry(v - usize::from(v > u))
+                },
+            }));
+            by_port.extend((0..ports).map(|p| PortEntry {
+                peer: EMPTY,
+                peer_port: EMPTY,
+                pos: entry(p),
+            }));
         }
         DenseStore {
             n,
-            forward: vec![EMPTY_U64; n * ports],
-            port_of: vec![EMPTY_U32; n * n],
-            peer_perm,
-            peer_pos,
-            port_perm,
-            port_pos,
+            by_pos,
+            by_peer,
+            by_port,
             degree: vec![0; n],
             links: 0,
             dirty: Vec::new(),
@@ -90,34 +152,46 @@ impl DenseStore {
     }
 
     #[inline]
-    fn peer_row(&self, u: usize) -> &[u32] {
-        &self.peer_perm[u * (self.n - 1)..(u + 1) * (self.n - 1)]
+    fn pos_row(&self, u: usize) -> &[PosEntry] {
+        &self.by_pos[u * (self.n - 1)..(u + 1) * (self.n - 1)]
     }
 
-    #[inline]
-    fn port_row(&self, u: usize) -> &[u32] {
-        &self.port_perm[u * (self.n - 1)..(u + 1) * (self.n - 1)]
-    }
-
-    /// Swaps peer `v` and port `p` into the connected prefix of `u`'s
-    /// partitioned permutations (two O(1) partial-Fisher–Yates steps).
-    fn promote(&mut self, u: usize, v: usize, p: usize) {
+    /// Fixes `u`'s half of the link `(u, p) ↔ (v, q)`: records the
+    /// endpoint, then swaps peer `v` and port `p` into the connected
+    /// prefix of `u`'s partitioned permutations (two O(1)
+    /// partial-Fisher–Yates steps sharing the boundary slot).
+    fn attach(&mut self, u: usize, p: usize, v: usize, q: usize) {
         let d = self.degree[u] as usize;
+        if d == 0 {
+            self.dirty.push(u as u32);
+        }
         let row = u * (self.n - 1);
-
-        let k = self.peer_pos[u * self.n + v] as usize;
+        let peer = &mut self.by_peer[u * self.n + v];
+        let k = peer.pos as usize;
         debug_assert!(k >= d, "promoting an already-connected peer");
-        let w = self.peer_perm[row + d] as usize;
-        self.peer_perm.swap(row + d, row + k);
-        self.peer_pos[u * self.n + v] = d as u32;
-        self.peer_pos[u * self.n + w] = k as u32;
-
-        let kp = self.port_pos[row + p] as usize;
+        *peer = PeerEntry {
+            port: entry(p),
+            pos: entry(d),
+        };
+        let port = &mut self.by_port[row + p];
+        let kp = port.pos as usize;
         debug_assert!(kp >= d, "promoting an already-assigned port");
-        let q = self.port_perm[row + d] as usize;
-        self.port_perm.swap(row + d, row + kp);
-        self.port_pos[row + p] = d as u32;
-        self.port_pos[row + q] = kp as u32;
+        *port = PortEntry {
+            peer: entry(v),
+            peer_port: entry(q),
+            pos: entry(d),
+        };
+
+        let boundary = self.by_pos[row + d];
+        self.by_pos[row + k].peer = boundary.peer;
+        self.by_peer[u * self.n + boundary.peer as usize].pos = entry(k);
+        self.by_pos[row + kp].port = boundary.port;
+        self.by_port[row + boundary.port as usize].pos = entry(kp);
+        self.by_pos[row + d] = PosEntry {
+            peer: entry(v),
+            port: entry(p),
+        };
+        self.degree[u] += 1;
     }
 }
 
@@ -151,54 +225,37 @@ impl PortStore for DenseStore {
 
     #[inline]
     fn connected(&self, u: NodeIndex, v: NodeIndex) -> bool {
-        self.port_of[u.0 * self.n + v.0] != EMPTY_U32
+        self.by_peer[u.0 * self.n + v.0].port != EMPTY
     }
 
     #[inline]
     fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
-        let enc = self.forward[u.0 * (self.n - 1) + p.0];
-        if enc == EMPTY_U64 {
-            None
-        } else {
-            Some(Endpoint {
-                node: NodeIndex((enc >> 32) as usize),
-                port: Port((enc & 0xFFFF_FFFF) as usize),
-            })
-        }
+        let e = self.by_port[u.0 * (self.n - 1) + p.0];
+        (e.peer != EMPTY).then_some(Endpoint {
+            node: NodeIndex(e.peer as usize),
+            port: Port(e.peer_port as usize),
+        })
     }
 
     #[inline]
     fn port_to(&self, u: NodeIndex, v: NodeIndex) -> Option<Port> {
-        let p = self.port_of[u.0 * self.n + v.0];
-        (p != EMPTY_U32).then_some(Port(p as usize))
+        let p = self.by_peer[u.0 * self.n + v.0].port;
+        (p != EMPTY).then_some(Port(p as usize))
     }
 
     #[inline]
     fn peer_at_pos(&self, u: NodeIndex, k: usize) -> NodeIndex {
-        NodeIndex(self.peer_row(u.0)[k] as usize)
+        NodeIndex(self.pos_row(u.0)[k].peer as usize)
     }
 
     #[inline]
     fn port_at_pos(&self, u: NodeIndex, k: usize) -> Port {
-        Port(self.port_row(u.0)[k] as usize)
+        Port(self.pos_row(u.0)[k].port as usize)
     }
 
     fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
-        let ports = self.n - 1;
-        if self.degree[u.0] == 0 {
-            self.dirty.push(u.0 as u32);
-        }
-        if self.degree[v.0] == 0 {
-            self.dirty.push(v.0 as u32);
-        }
-        self.forward[u.0 * ports + pu.0] = ((v.0 as u64) << 32) | pv.0 as u64;
-        self.forward[v.0 * ports + pv.0] = ((u.0 as u64) << 32) | pu.0 as u64;
-        self.port_of[u.0 * self.n + v.0] = pu.0 as u32;
-        self.port_of[v.0 * self.n + u.0] = pv.0 as u32;
-        self.promote(u.0, v.0, pu.0);
-        self.promote(v.0, u.0, pv.0);
-        self.degree[u.0] += 1;
-        self.degree[v.0] += 1;
+        self.attach(u.0, pu.0, v.0, pv.0);
+        self.attach(v.0, pv.0, u.0, pu.0);
         self.links += 1;
     }
 
@@ -212,48 +269,52 @@ impl PortStore for DenseStore {
     /// canonical ascending order by chasing displacement cycles, every swap
     /// of which parks one entry in its home slot for good.
     fn reset(&mut self) {
-        let ports = self.n - 1;
+        let (n, ports) = (self.n, self.n - 1);
         let dirty = std::mem::take(&mut self.dirty);
         for &u in &dirty {
             let u = u as usize;
             let d = self.degree[u] as usize;
             let row = u * ports;
-            // Clear the forward and peer-index entries of every link of u.
-            // The connected peers and assigned ports are exactly the first
-            // d entries of the partitioned permutations.
+            let peers = u * n;
+            // Clear the endpoint and peer-index entries of every link of
+            // u. The connected peers and assigned ports are exactly the
+            // first d entries of the partitioned permutations.
             for k in 0..d {
-                let v = self.peer_perm[row + k] as usize;
-                self.port_of[u * self.n + v] = EMPTY_U32;
-                let p = self.port_perm[row + k] as usize;
-                self.forward[row + p] = EMPTY_U64;
+                let PosEntry { peer, port } = self.by_pos[row + k];
+                self.by_peer[peers + peer as usize].port = EMPTY;
+                let e = &mut self.by_port[row + port as usize];
+                e.peer = EMPTY;
+                e.peer_port = EMPTY;
             }
             self.degree[u] = 0;
             // Restore the canonical permutations. Every displacement cycle
-            // passes through the connected prefix `0..d` (each `promote`
+            // passes through the connected prefix `0..d` (each `attach`
             // swapped the then-boundary position with a position at or
             // beyond it), so chasing cycles from the prefix restores the
             // whole row in O(d) swaps.
             for k in 0..d {
                 loop {
-                    let v = self.peer_perm[row + k] as usize;
+                    let v = self.by_pos[row + k].peer as usize;
                     let home = v - usize::from(v > u);
                     if home == k {
                         break;
                     }
-                    let w = self.peer_perm[row + home] as usize;
-                    self.peer_perm.swap(row + k, row + home);
-                    self.peer_pos[u * self.n + v] = home as u32;
-                    self.peer_pos[u * self.n + w] = k as u32;
+                    let w = self.by_pos[row + home].peer;
+                    self.by_pos[row + k].peer = w;
+                    self.by_pos[row + home].peer = entry(v);
+                    self.by_peer[peers + v].pos = entry(home);
+                    self.by_peer[peers + w as usize].pos = entry(k);
                 }
                 loop {
-                    let p = self.port_perm[row + k] as usize;
+                    let p = self.by_pos[row + k].port as usize;
                     if p == k {
                         break;
                     }
-                    let q = self.port_perm[row + p] as usize;
-                    self.port_perm.swap(row + k, row + p);
-                    self.port_pos[row + p] = p as u32;
-                    self.port_pos[row + q] = k as u32;
+                    let q = self.by_pos[row + p].port;
+                    self.by_pos[row + k].port = q;
+                    self.by_pos[row + p].port = entry(p);
+                    self.by_port[row + p].pos = entry(p);
+                    self.by_port[row + q as usize].pos = entry(k);
                 }
             }
         }
@@ -268,12 +329,15 @@ impl PortStore for DenseStore {
                 reason,
             })
         };
-        let ports = self.n - 1;
+        let (n, ports) = (self.n, self.n - 1);
         let mut counted = 0usize;
-        for u in 0..self.n {
+        for u in 0..n {
             let mut assigned = 0usize;
             for i in 0..ports {
                 let Some(Endpoint { node: v, port: j }) = self.peer(NodeIndex(u), Port(i)) else {
+                    if self.by_port[u * ports + i].peer_port != EMPTY {
+                        return fail(u, i, "half-assigned port");
+                    }
                     continue;
                 };
                 counted += 1;
@@ -290,7 +354,7 @@ impl PortStore for DenseStore {
                 {
                     return fail(u, i, "asymmetric link");
                 }
-                if self.port_of[u * self.n + v.0] != i as u32 {
+                if self.by_peer[u * n + v.0].port != entry(i) {
                     return fail(u, i, "peer index out of sync");
                 }
             }
@@ -298,23 +362,21 @@ impl PortStore for DenseStore {
                 return fail(u, 0, "degree out of sync with forward table");
             }
             // The peer/port permutation rows must be partitioned exactly at
-            // degree[u], with pos tables as their inverses.
+            // degree[u], with the position entries as their inverses.
             let d = self.degree[u] as usize;
-            for (k, &v) in self.peer_row(u).iter().enumerate() {
-                if self.peer_pos[u * self.n + v as usize] != k as u32 {
+            for (k, &PosEntry { peer: v, port: p }) in self.pos_row(u).iter().enumerate() {
+                let peer = self.by_peer[u * n + v as usize];
+                if peer.pos != entry(k) {
                     return fail(u, 0, "peer permutation/position out of sync");
                 }
-                let connected = self.port_of[u * self.n + v as usize] != EMPTY_U32;
-                if connected != (k < d) {
+                if (peer.port != EMPTY) != (k < d) {
                     return fail(u, 0, "peer permutation partition broken");
                 }
-            }
-            for (k, &p) in self.port_row(u).iter().enumerate() {
-                if self.port_pos[u * ports + p as usize] != k as u32 {
+                let port = self.by_port[u * ports + p as usize];
+                if port.pos != entry(k) {
                     return fail(u, 0, "port permutation/position out of sync");
                 }
-                let taken = self.forward[u * ports + p as usize] != EMPTY_U64;
-                if taken != (k < d) {
+                if (port.peer != EMPTY) != (k < d) {
                     return fail(u, 0, "port permutation partition broken");
                 }
             }
@@ -329,13 +391,11 @@ impl PortStore for DenseStore {
     }
 
     fn resident_bytes(&self) -> u64 {
-        let u32s = self.port_of.capacity()
-            + self.peer_perm.capacity()
-            + self.peer_pos.capacity()
-            + self.port_perm.capacity()
-            + self.port_pos.capacity()
-            + self.degree.capacity()
-            + self.dirty.capacity();
-        (self.forward.capacity() * 8 + u32s * 4) as u64
+        use std::mem::size_of;
+        let bytes = self.by_pos.capacity() * size_of::<PosEntry>()
+            + self.by_peer.capacity() * size_of::<PeerEntry>()
+            + self.by_port.capacity() * size_of::<PortEntry>()
+            + (self.degree.capacity() + self.dirty.capacity()) * size_of::<u32>();
+        bytes as u64
     }
 }

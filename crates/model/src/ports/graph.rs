@@ -2,10 +2,12 @@
 //!
 //! When the topology is not the implicit clique, every node `u` owns
 //! `deg(u)` ports and each port can only lead to one of `u`'s topology
-//! neighbors. This store carries the dense backend's layout over to
-//! that ragged port space: instead of `n` rows of `n − 1` entries, the
-//! flat tables hold one entry per *directed CSR slot* (`2m` total),
+//! neighbors. This store carries the dense backend's flat tables over
+//! to that ragged port space: instead of `n` rows of `n − 1` entries,
+//! the flat tables hold one entry per *directed CSR slot* (`2m` total),
 //! with node `u`'s row occupying the topology's slot range for `u`.
+//! Unlike the dense store it keeps one table per field with `u32`/`u64`
+//! entries, since general graphs may have more than 65535 nodes.
 //! The partitioned-permutation discipline is identical — the first
 //! `degree(u)` positions of `u`'s peer/port permutations are the
 //! connected prefix, so a uniform fresh draw is one indexed lookup and

@@ -30,10 +30,11 @@
 //! `degree(u)` positions of each node's peer/port permutation are the
 //! connected prefix, so a uniform fresh draw is one indexed lookup):
 //!
-//! * **Dense** (`dense` submodule) — flat row-major arrays, `Θ(n²)` words
-//!   (~28 bytes per ordered node pair) allocated once at construction;
-//!   every operation is O(1) with no hashing. The right choice wherever
-//!   the tables fit: `n = 4096` is a few hundred MB.
+//! * **Dense** (`dense` submodule) — flat row-major arrays of `u16`
+//!   entries, `Θ(n²)` of them (14 bytes per ordered node pair) allocated
+//!   once at construction; every operation is O(1) with no hashing. The
+//!   right choice wherever the tables fit: `n = 4096` is 224 MiB. The
+//!   `u16` entries cap it at `n ≤ 65535`.
 //! * **Sparse** (`sparse` submodule) — open-addressing tables
 //!   ([`OpenTable`]) holding only *touched* state, with each node's
 //!   untouched peer/port permutations represented implicitly by a keyed
@@ -49,7 +50,7 @@
 //! variable (`dense`, `sparse`, or `auto`; unset means `auto`), and
 //! [`PortMap::with_backend`] / the engine builders' `.backend(…)` pin a
 //! choice programmatically. `auto` picks dense while the flat tables fit
-//! a fixed budget (8 GiB, i.e. up to `n = 16384`) and sparse beyond.
+//! a fixed budget (4 GiB, i.e. up to `n = 17515`) and sparse beyond.
 //!
 //! RNG-free resolvers (round-robin, circulant, the lower-bound
 //! adversaries) resolve identically on all backends — enforced by
@@ -215,28 +216,30 @@ macro_rules! with_store_mut {
 /// Which storage backend a [`PortMap`] uses (or how to choose one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PortBackend {
-    /// Flat `Θ(n²)` tables: O(1) operations, no hashing, ~28 bytes per
-    /// ordered node pair. The recorded golden fingerprints assume this
-    /// backend.
+    /// Flat `Θ(n²)` tables of `u16` entries: O(1) operations, no hashing,
+    /// 14 bytes per ordered node pair, `n ≤ 65535`. The recorded golden
+    /// fingerprints assume this backend.
     Dense,
     /// Hashed O(n + links) tables with implicit keyed permutations:
     /// O(1)-expected operations, memory proportional to touched state.
     Sparse,
     /// Resolve per size: dense while [`PortBackend::dense_table_bytes`]
-    /// fits [`PortBackend::AUTO_DENSE_CAP_BYTES`] (up to `n = 16384`),
+    /// fits [`PortBackend::AUTO_DENSE_CAP_BYTES`] (up to `n = 17515`),
     /// sparse beyond. The default, and what unset `LE_BACKEND` means.
     #[default]
     Auto,
 }
 
 impl PortBackend {
-    /// The `auto` budget: dense is chosen while its tables fit 8 GiB.
+    /// The `auto` budget: dense is chosen while its tables fit 4 GiB.
     ///
-    /// The boundary sits between `n = 16384` (~7.5 GiB of tables — the
-    /// largest size the pre-backend experiment grids ran dense, kept
-    /// dense so those recorded numbers never re-roll) and `n = 32768`
-    /// (~30 GiB), past which the quadratic tables crowd out everything
-    /// else on a typical box. The budget is deliberately a *size*
+    /// The last dense clique is `n = 17515`, just above `n = 16384`
+    /// (3.5 GiB of tables — the largest size the pre-backend experiment
+    /// grids ran dense, kept dense so those recorded numbers never
+    /// re-roll); at `n = 32768` the tables would need 14 GiB and crowd
+    /// out everything else on a typical box. The budget scales with the
+    /// bytes per pair, so that boundary does not move when the layout
+    /// does (pinned by a test). The budget is deliberately a *size*
     /// heuristic, not a workload one: at `n ≤ 16384` the grids include
     /// dense-traffic cells (full-clique `d = n` sweeps, full-wake-up
     /// `Θ(n^{3/2})` floods) where hashed touched-state storage loses on
@@ -244,7 +247,7 @@ impl PortBackend {
     /// only feasible for o(n)-per-node workloads in the first place.
     /// Pin `PortBackend::Sparse` explicitly to run a sublinear workload
     /// sparse at a small `n`.
-    pub const AUTO_DENSE_CAP_BYTES: u64 = 8 * 1024 * 1024 * 1024;
+    pub const AUTO_DENSE_CAP_BYTES: u64 = 4 * 1024 * 1024 * 1024;
 
     /// Reads the backend selection from the `LE_BACKEND` environment
     /// variable: `dense`, `sparse`, or `auto`; unset (or
@@ -287,11 +290,11 @@ impl PortBackend {
 
     /// Resolves `Auto` against the *edge count* of an explicit topology:
     /// dense while [`PortBackend::edge_table_bytes`] fits the same
-    /// 8 GiB budget, sparse beyond. On the clique
+    /// 4 GiB budget, sparse beyond. On the clique
     /// (`m = n(n−1)/2`) the edge formula equals
     /// [`PortBackend::dense_table_bytes`] exactly, so this is a strict
     /// generalization of [`PortBackend::resolve`] — the clique boundary
-    /// stays at `n = 16384` — while sparse graphs at large `n` stop
+    /// stays at `n = 17515` — while sparse graphs at large `n` stop
     /// being budgeted as if they carried the clique's implicit `n²`
     /// pairs.
     pub fn resolve_for(self, n: usize, m: u64) -> PortBackend {
@@ -308,32 +311,33 @@ impl PortBackend {
     }
 
     /// Bytes of flat per-port tables at `n` nodes and `m` undirected
-    /// edges: `56m + 12n`. Each of the `2m` directed slots costs one
-    /// `u64` forward entry plus five `u32` peer/port permutation,
-    /// position, and index entries (28 bytes per slot), plus one `u32`
-    /// degree and two words of amortized row bookkeeping per node.
-    /// Chosen so that at the clique's `m = n(n−1)/2` this is *exactly*
-    /// [`PortBackend::dense_table_bytes`]`(n)` = `28n² − 16n`: one
-    /// budget formula, parameterized by the real edge count.
+    /// edges: `28m + 8n`. Each of the `2m` directed slots costs the dense
+    /// store's seven `u16` entries per ordered pair (14 bytes per slot),
+    /// plus one `u32` degree and one unused diagonal peer entry (two
+    /// `u16`s) per node. Chosen so that at the clique's
+    /// `m = n(n−1)/2` this is *exactly*
+    /// [`PortBackend::dense_table_bytes`]`(n)` = `14n² − 6n`: one budget
+    /// formula, parameterized by the real edge count.
     pub fn edge_table_bytes(n: usize, m: u64) -> u64 {
-        let bytes = 56 * m as u128 + 12 * n as u128;
+        let bytes = 28 * m as u128 + 8 * n as u128;
         u64::try_from(bytes).unwrap_or(u64::MAX)
     }
 
     /// Bytes the dense backend's tables occupy at size `n` (the quantity
-    /// the `auto` heuristic budgets): one `u64` forward entry plus three
-    /// `u32` permutation/position entries per port, two `u32` peer-indexed
-    /// entries per ordered pair, one `u32` degree per node — the
-    /// documented ~28 bytes per ordered node pair.
+    /// the `auto` heuristic budgets, and exactly what a fresh dense map
+    /// allocates): five `u16` entries per port (two position-indexed, three
+    /// port-indexed), two `u16` peer-indexed entries per ordered pair, one
+    /// `u32` degree per node — `14n² − 6n`, the documented 14 bytes per
+    /// ordered node pair.
     ///
-    /// Computed in `u128` and saturated: at `n` near `u32::MAX` the `8n²`
+    /// Computed in `u128` and saturated: at `n` near `u32::MAX` the `4n²`
     /// term alone overflows a `u64`, and a wrapped size would make `auto`
     /// pick dense for exactly the networks whose tables could never be
     /// allocated.
     pub fn dense_table_bytes(n: usize) -> u64 {
         let n = n as u128;
         let ports = n.saturating_sub(1);
-        let bytes = 8 * n * ports + 12 * n * ports + 8 * n * n + 4 * n;
+        let bytes = 10 * n * ports + 4 * n * n + 4 * n;
         u64::try_from(bytes).unwrap_or(u64::MAX)
     }
 }
@@ -653,12 +657,21 @@ impl PortMap {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NetworkTooSmall`] if `n < 2`.
+    /// Returns [`ModelError::NetworkTooSmall`] if `n < 2`, and
+    /// [`ModelError::DenseTooLarge`] if the dense backend is asked for
+    /// more nodes than its `u16` tables can represent (`n > 65535`) —
+    /// before anything is allocated.
     pub fn with_backend(n: usize, backend: PortBackend) -> Result<Self, ModelError> {
         if n < 2 {
             return Err(ModelError::NetworkTooSmall { n });
         }
         let store = match backend.resolve(n) {
+            PortBackend::Dense if n > dense::MAX_N => {
+                return Err(ModelError::DenseTooLarge {
+                    n,
+                    max: dense::MAX_N,
+                })
+            }
             PortBackend::Dense => Store::Dense(DenseStore::new(n)),
             PortBackend::Sparse => Store::Sparse(Box::new(SparseStore::new(n))),
             PortBackend::Auto => unreachable!("resolve() always returns a concrete backend"),
@@ -681,7 +694,8 @@ impl PortMap {
     /// # Errors
     ///
     /// Returns [`ModelError::NetworkTooSmall`] if the topology has
-    /// fewer than 2 nodes.
+    /// fewer than 2 nodes, and [`ModelError::DenseTooLarge`] for a clique
+    /// the dense backend cannot represent (see [`PortMap::with_backend`]).
     pub fn for_topology(topo: &Topology, backend: PortBackend) -> Result<Self, ModelError> {
         if topo.is_clique() {
             return PortMap::with_backend(topo.n(), backend.resolve_for(topo.n(), topo.m()));
@@ -1041,10 +1055,11 @@ mod tests {
         // Explicit choices are never overridden.
         assert_eq!(PortBackend::Dense.resolve(1 << 20), PortBackend::Dense);
         assert_eq!(PortBackend::Sparse.resolve(2), PortBackend::Sparse);
-        // The budgeted quantity matches the documented ~28 bytes per pair.
+        // The budgeted quantity matches the documented 14 bytes per pair
+        // (14n² − 6n, just under 14 per pair).
         let n = 8192u64;
         let per_pair = PortBackend::dense_table_bytes(8192) / (n * n);
-        assert_eq!(per_pair, 27, "dense bytes per ordered pair drifted");
+        assert_eq!(per_pair, 13, "dense bytes per ordered pair drifted");
     }
 
     #[test]
@@ -1080,11 +1095,11 @@ mod tests {
 
     #[test]
     fn dense_table_bytes_is_overflow_safe_at_huge_n() {
-        // n = 2²⁰ is exact: 20n(n−1) + 8n² + 4n fits comfortably in u64.
+        // n = 2²⁰ is exact: 10n(n−1) + 4n² + 4n fits comfortably in u64.
         let n = 1u64 << 20;
         assert_eq!(
             PortBackend::dense_table_bytes(1 << 20),
-            20 * n * (n - 1) + 8 * n * n + 4 * n
+            10 * n * (n - 1) + 4 * n * n + 4 * n
         );
         assert_eq!(PortBackend::Auto.resolve(1 << 20), PortBackend::Sparse);
         // Near the u32 ceiling the true size exceeds u64::MAX only with
@@ -1105,9 +1120,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_dense_map_is_a_typed_error() {
+        // 65536 nodes would need 56 GiB of tables and overflow the u16
+        // entries; the facade must refuse before allocating anything.
+        let n = 1 << 16;
+        let err = ModelError::DenseTooLarge { n, max: 65535 };
+        assert_eq!(
+            PortMap::with_backend(n, PortBackend::Dense),
+            Err(err.clone())
+        );
+        let clique = Topology::clique(n).unwrap();
+        assert_eq!(PortMap::for_topology(&clique, PortBackend::Dense), Err(err));
+    }
+
+    #[test]
     fn backend_is_reported_and_part_of_equality() {
-        let dense = PortMap::with_backend(16, PortBackend::Dense).unwrap();
-        let sparse = sparse_map(16);
+        // Up to n = 24 sparse's fixed memo caches outweigh the compact
+        // dense tables (4.2 KB against 3.5 KB at n = 16); at n = 64 dense
+        // holds 57 KB against sparse's 17 KB.
+        let dense = PortMap::with_backend(64, PortBackend::Dense).unwrap();
+        let sparse = sparse_map(64);
         assert_eq!(dense.backend(), PortBackend::Dense);
         assert_eq!(sparse.backend(), PortBackend::Sparse);
         assert_ne!(dense, sparse, "maps on different backends compare equal");
@@ -1480,7 +1512,7 @@ mod tests {
     #[test]
     fn sparse_memory_stays_proportional_to_touched_state() {
         // Resolve one port per node at n = 2048: the sparse footprint must
-        // be far below the dense tables' ~28 bytes per ordered pair.
+        // be far below the dense tables' 14 bytes per ordered pair.
         let n = 2048;
         let mut map = sparse_map(n);
         let mut r = RandomResolver;
@@ -1546,7 +1578,7 @@ mod tests {
     #[test]
     fn auto_is_edge_aware_on_sparse_topologies() {
         // A ring at n = 10⁶ has a million edges — trivially inside the
-        // budget — while the clique formula at the same n is ~28 TB.
+        // budget — while the clique formula at the same n is ~14 TB.
         // The edge-aware resolution must stop over-provisioning.
         let n = 1_000_000;
         assert_eq!(PortBackend::Auto.resolve(n), PortBackend::Sparse);

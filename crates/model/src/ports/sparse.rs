@@ -20,7 +20,8 @@
 //! evaluated in O(1) expected time and at most O(degree) override entries
 //! per node. Memory is O(n) fixed (the degree table) plus O(links) hashed
 //! entries, which is what reopens `n = 65536+` on boxes where the dense
-//! tables would need ~28 bytes per ordered node pair.
+//! tables would need 14 bytes per ordered node pair (and cannot represent
+//! `n > 65535` at all).
 //!
 //! # The warm path
 //!
@@ -138,8 +139,8 @@ impl RowCaches {
         // Scale with the network but stay bounded: ~4 slots per node keeps
         // the per-trial working set (promotes touch a handful of positions
         // per link) mostly resident, while the clamp caps the fixed
-        // footprint at 2 MiB per direction even at n = 131072+ and keeps
-        // tiny maps smaller than their dense twins.
+        // footprint at 2 MiB per direction even at n = 131072+. Below
+        // n ≈ 32 these fixed caches outweigh the compact dense tables.
         let slots = (4 * n).next_power_of_two().clamp(64, 1 << 17);
         RowCaches {
             peer_fwd: PermCache::new(slots),
