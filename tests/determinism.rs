@@ -315,13 +315,23 @@ fn seed_isolation_between_components() {
 /// bit-for-bit. The tracer draws from no RNG stream and never touches the
 /// event schedule, so "tracing enabled" and "tracing disabled" are the
 /// *same execution* — this test pins that contract at the golden anchors.
+/// It also pins what the sink saw: the `(bytes, FNV-1a)` digest of the
+/// collected JSONL, so a change to any emission site shows up here.
 #[test]
 fn golden_fingerprints_unchanged_with_tracing_enabled() {
     use improved_le::model::trace::SharedSink;
 
-    for (n, golden) in [
-        (64, (5, 469, Some(NodeIndex(26)))),
-        (256, (5, 2819, Some(NodeIndex(136)))),
+    for (n, golden, golden_trace) in [
+        (
+            64,
+            (5, 469, Some(NodeIndex(26))),
+            (51698, 2505587922342566311),
+        ),
+        (
+            256,
+            (5, 2819, Some(NodeIndex(136))),
+            (305023, 8244090399109076149),
+        ),
     ] {
         let sink = SharedSink::new();
         let cfg = improved_tradeoff::Config::with_rounds(5);
@@ -342,11 +352,28 @@ fn golden_fingerprints_unchanged_with_tracing_enabled() {
             events.len() > golden.1 as usize,
             "the sink saw every send plus the other classes at n = {n}"
         );
+        assert_eq!(
+            jsonl_digest(&events),
+            golden_trace,
+            "the sync trace bytes moved at n = {n}"
+        );
     }
 
-    for (n, golden_time_bits, golden_msgs, golden_leader) in [
-        (64usize, 4616551870472006621u64, 2013u64, 15usize),
-        (256, 4618253587610216838, 14799, 70),
+    for (n, golden_time_bits, golden_msgs, golden_leader, golden_trace) in [
+        (
+            64usize,
+            4616551870472006621u64,
+            2013u64,
+            15usize,
+            (317992, 5681530334874455729),
+        ),
+        (
+            256,
+            4618253587610216838,
+            14799,
+            70,
+            (2369048, 9919310104421942070),
+        ),
     ] {
         let sink = SharedSink::new();
         let o = AsyncSimBuilder::new(n)
@@ -367,9 +394,27 @@ fn golden_fingerprints_unchanged_with_tracing_enabled() {
             "tracing perturbed the async golden at n = {n} (time = {})",
             o.time
         );
+        let events = sink.take();
         assert!(
-            sink.take().len() > golden_msgs as usize,
+            events.len() > golden_msgs as usize,
             "the sink saw every send plus the other classes at n = {n}"
         );
+        assert_eq!(
+            jsonl_digest(&events),
+            golden_trace,
+            "the async trace bytes moved at n = {n}"
+        );
     }
+}
+
+/// `(length, FNV-1a)` of the events rendered as JSONL.
+fn jsonl_digest(events: &[improved_le::model::trace::TraceEvent]) -> (usize, u64) {
+    let mut jsonl = String::new();
+    for ev in events {
+        ev.write_jsonl(&mut jsonl);
+    }
+    let hash = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (jsonl.len(), hash)
 }
