@@ -685,21 +685,24 @@ impl<N: AsyncNode> AsyncSim<N> {
         &self.transcript
     }
 
-    /// Runs until the event queue drains (or the event cap fires).
+    /// Runs until the event queue drains (or the event cap fires):
+    /// [`AsyncSim::run_reusing`] on a throwaway arena.
     ///
     /// # Errors
     ///
     /// Propagates [`ModelError`] from port resolution (only possible with a
     /// faulty custom resolver) or from an adversary returning a delay
     /// outside `(0, 1]`.
-    pub fn run(mut self) -> Result<AsyncOutcome, ModelError> {
-        let halt = self.drive()?;
-        Ok(self.into_outcome(halt))
+    pub fn run(self) -> Result<AsyncOutcome, ModelError>
+    where
+        N::Message: 'static,
+    {
+        self.run_reusing(&mut AsyncArena::new())
     }
 
-    /// The shared event loop of [`AsyncSim::run`] and
-    /// [`AsyncSim::run_reusing`]: processes events until the queue drains
-    /// or the event cap fires and reports which one halted the run.
+    /// The event loop of [`AsyncSim::run_reusing`]: processes events until
+    /// the queue drains or the event cap fires and reports which one halted
+    /// the run.
     fn drive(&mut self) -> Result<AsyncHaltReason, ModelError> {
         let _run = prof::span(Phase::Run);
         let mut processed = 0u64;
@@ -720,11 +723,10 @@ impl<N: AsyncNode> AsyncSim<N> {
         Ok(AsyncHaltReason::QueueDrained)
     }
 
-    /// Runs until the event queue drains (or the event cap fires) like
-    /// [`AsyncSim::run`], then returns the recyclable state — the port
-    /// map, FIFO floors, queue storage, and outbox — to `arena` for the
-    /// next trial instead of dropping it. The outcome is identical to
-    /// [`AsyncSim::run`]'s.
+    /// Runs until the event queue drains (or the event cap fires), then
+    /// returns the recyclable state — the port map, FIFO floors, queue
+    /// storage, and outbox — to `arena` for the next trial instead of
+    /// dropping it.
     ///
     /// # Errors
     ///
@@ -1337,26 +1339,17 @@ impl<N: AsyncNode> AsyncSim<N> {
         self.tracer.finish();
     }
 
-    /// Consumes the simulation into its measurable [`AsyncOutcome`].
-    pub fn into_outcome(mut self, halt: AsyncHaltReason) -> AsyncOutcome {
-        self.finish_trace(halt);
-        AsyncOutcome {
-            n: self.n,
-            time: self.busy_now,
-            last_adversarial_wake: self.last_scheduled_wake,
-            wake_all_time: self.wake_all_time,
-            stats: self.stats,
-            decisions: self.last_decisions,
-            awake: self.awake,
-            ids: self.ids,
-            messages_to_terminated: self.messages_to_terminated,
-            crashed: self.crashed,
-            halt,
-        }
+    /// Consumes the simulation into its measurable [`AsyncOutcome`]:
+    /// [`AsyncSim::into_outcome_reusing`] on a throwaway arena.
+    pub fn into_outcome(self, halt: AsyncHaltReason) -> AsyncOutcome
+    where
+        N::Message: 'static,
+    {
+        self.into_outcome_reusing(halt, &mut AsyncArena::new())
     }
 
-    /// [`AsyncSim::into_outcome`], stashing the recyclable state into
-    /// `arena` on the way out.
+    /// Consumes the simulation into its measurable [`AsyncOutcome`],
+    /// stashing the recyclable state into `arena` on the way out.
     pub fn into_outcome_reusing(
         mut self,
         halt: AsyncHaltReason,

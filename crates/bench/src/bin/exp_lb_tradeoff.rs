@@ -7,7 +7,7 @@
 //! of the clique before the bound's round threshold.
 
 use clique_model::NodeIndex;
-use clique_sync::{HaltReason, SyncSimBuilder};
+use clique_sync::{HaltReason, NullObserver, SyncSimBuilder};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
 use le_bench::{sweep, SweepRunner};
@@ -43,7 +43,7 @@ fn main() {
             handles.push(runner.task(format!("n={n} f={f} ell={ell}"), move |ws| {
                 let cfg = improved_tradeoff::Config::with_rounds(ell);
                 let (adv, probe) = ComponentAdversary::new(n, f);
-                let mut obs = GraphObserver::new(n);
+                let obs = GraphObserver::new(n);
                 // One structural trial per (n, f) cell: the adversary is
                 // deterministic, so there is no seed dimension.
                 let rows = ws.cell_once(format!("n={n} f={f} ell={ell}"), |arenas| {
@@ -51,13 +51,14 @@ fn main() {
                     let mut sim = SyncSimBuilder::new(n)
                         .seed(1)
                         .resolver(Box::new(adv))
+                        .trace(Box::new(obs.clone()))
                         .build_in(arena, |id, n| improved_tradeoff::Node::new(id, n, cfg))
                         .expect("valid configuration");
                     let mut rows: Vec<(usize, usize, f64, usize, bool)> = Vec::new();
                     let mut round = 0usize;
                     loop {
                         round += 1;
-                        let more = sim.step(&mut obs).expect("no resolver faults");
+                        let more = sim.step(&mut NullObserver).expect("no resolver faults");
                         // Definition 3.1: the round-(r+1) graph contains edges
                         // sent in rounds ≤ r.
                         let graph = obs.graph();

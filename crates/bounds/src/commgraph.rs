@@ -8,9 +8,11 @@
 //! have correlated states, nodes in different components provably behave
 //! independently.
 
+use std::sync::{Arc, Mutex, MutexGuard};
+
 use clique_model::topology::{Dsu, TimedArc};
+use clique_model::trace::{At, TraceEvent, TraceSink};
 use clique_model::NodeIndex;
-use clique_sync::Observer;
 
 /// A time-stamped directed communication graph over `n` nodes.
 ///
@@ -132,7 +134,12 @@ impl CommGraph {
     }
 }
 
-/// An [`Observer`] that builds a [`CommGraph`] as the engine runs.
+/// A [`TraceSink`] that builds a [`CommGraph`] from the synchronous
+/// engine's `Send` events as the execution runs.
+///
+/// Clones share one graph: install a clone with the builder's `.trace(...)`
+/// and read the graph through the one you keep, between steps or after
+/// the run.
 ///
 /// # Example
 ///
@@ -150,44 +157,50 @@ impl CommGraph {
 /// }
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut obs = GraphObserver::new(8);
-/// SyncSimBuilder::new(8).build(|_, _| Quiet)?.run_observed(&mut obs)?;
+/// let obs = GraphObserver::new(8);
+/// SyncSimBuilder::new(8)
+///     .trace(Box::new(obs.clone()))
+///     .build(|_, _| Quiet)?
+///     .run()?;
 /// assert_eq!(obs.graph().message_count(), 0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphObserver {
-    graph: CommGraph,
+    graph: Arc<Mutex<CommGraph>>,
 }
 
 impl GraphObserver {
     /// Creates an observer for an `n`-node execution.
     pub fn new(n: usize) -> Self {
         GraphObserver {
-            graph: CommGraph::new(n),
+            graph: Arc::new(Mutex::new(CommGraph::new(n))),
         }
     }
 
-    /// The communication graph built so far.
-    pub fn graph(&self) -> &CommGraph {
-        &self.graph
-    }
-
-    /// Consumes the observer into its graph.
-    pub fn into_graph(self) -> CommGraph {
-        self.graph
+    /// The communication graph built so far. Drop the guard before the
+    /// engine's next step: the installed clone locks the same graph.
+    pub fn graph(&self) -> MutexGuard<'_, CommGraph> {
+        self.graph.lock().expect("graph poisoned")
     }
 }
 
-impl Observer for GraphObserver {
-    fn on_message(
-        &mut self,
-        round: usize,
-        src: clique_model::ports::Endpoint,
-        dst: clique_model::ports::Endpoint,
-    ) {
-        self.graph.record(round, src.node, dst.node);
+impl TraceSink for GraphObserver {
+    fn event(&mut self, ev: &TraceEvent) {
+        if let TraceEvent::Send {
+            at: At::Round(round),
+            src,
+            dst,
+            ..
+        } = *ev
+        {
+            self.graph().record(
+                round as usize,
+                NodeIndex(src as usize),
+                NodeIndex(dst as usize),
+            );
+        }
     }
 }
 
@@ -316,23 +329,62 @@ mod tests {
         }
 
         let n = 6;
-        let mut obs = GraphObserver::new(n);
+        let obs = GraphObserver::new(n);
         let outcome = SyncSimBuilder::new(n)
             .seed(2)
+            .trace(Box::new(obs.clone()))
             .build(|id, _| B {
                 me: id,
                 best: id,
                 d: Decision::Undecided,
             })
             .unwrap()
-            .run_observed(&mut obs)
+            .run()
             .unwrap();
         outcome.validate_implicit().unwrap();
-        let g = obs.into_graph();
+        let g = obs.graph();
         assert_eq!(g.message_count(), n * (n - 1));
         // After the broadcast round the graph is fully connected.
         assert_eq!(g.largest_component_at(2), n);
         // ... but during round 1 it was still empty (Definition 3.1).
         assert_eq!(g.largest_component_at(1), 1);
+    }
+
+    #[test]
+    fn shared_graph_reads_between_steps_match_the_final_graph() {
+        use crate::adversary::ComponentAdversary;
+        use clique_sync::{NullObserver, SyncSimBuilder};
+        use leader_election::sync::improved_tradeoff;
+
+        // The Lemma 3.9 adversary keeps components small early on, so the
+        // per-round reads differ from one another.
+        let n = 128;
+        let cfg = improved_tradeoff::Config::with_rounds(7);
+        let (adversary, _) = ComponentAdversary::new(n, 4.0);
+        let obs = GraphObserver::new(n);
+        let mut sim = SyncSimBuilder::new(n)
+            .seed(5)
+            .resolver(Box::new(adversary))
+            .trace(Box::new(obs.clone()))
+            .build(|id, n| improved_tradeoff::Node::new(id, n, cfg))
+            .unwrap();
+        let mut live = Vec::new();
+        loop {
+            let more = sim.step(&mut NullObserver).unwrap();
+            live.push(obs.graph().largest_component_at(sim.round() + 1));
+            if !more {
+                break;
+            }
+        }
+        drop(sim);
+        let g = obs.graph();
+        assert!(g.message_count() > 0);
+        assert!(
+            live[0] < live[live.len() - 1],
+            "components grow over the run: {live:?}"
+        );
+        for (r, &largest) in (1..).zip(&live) {
+            assert_eq!(largest, g.largest_component_at(r + 1), "round {r}");
+        }
     }
 }

@@ -12,8 +12,8 @@
 //!   testable facts;
 //! * [`commgraph`] — the round-`r` communication graph of Definition 3.1,
 //!   its weakly connected components, and component *capacity*
-//!   (Definition 3.2), built live from an engine
-//!   [`Observer`](clique_sync::Observer);
+//!   (Definition 3.2), built live from the synchronous engine's trace
+//!   events by the [`GraphObserver`] sink;
 //! * [`adversary`] — the adaptive port-mapping adversary at the heart of
 //!   Lemma 3.9: keep every newly opened port inside the sender's block of
 //!   the current decomposition, merging `2^t` blocks when one saturates, so

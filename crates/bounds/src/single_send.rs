@@ -166,32 +166,38 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clique_model::ports::Endpoint;
-    use clique_sync::{Observer, SyncSimBuilder};
+    use clique_model::trace::{At, SharedSink, TraceEvent};
+    use clique_sync::SyncSimBuilder;
     use leader_election::sync::improved_tradeoff;
 
-    /// Observer asserting the single-send property and counting messages.
+    /// The single-send property and the message count, checked over the
+    /// `Send` events a trace sink recorded.
     #[derive(Default)]
     struct SingleSendChecker {
-        /// Per-round send counts per node, rebuilt each round.
-        current_round: usize,
-        sent_this_round: std::collections::HashMap<usize, u32>,
         violations: u32,
         total: u64,
     }
 
-    impl Observer for SingleSendChecker {
-        fn on_message(&mut self, round: usize, src: Endpoint, _dst: Endpoint) {
-            if round != self.current_round {
-                self.current_round = round;
-                self.sent_this_round.clear();
+    impl SingleSendChecker {
+        fn check(events: &[TraceEvent]) -> SingleSendChecker {
+            let mut sent = std::collections::HashMap::new();
+            let mut checker = SingleSendChecker::default();
+            for ev in events {
+                if let TraceEvent::Send {
+                    at: At::Round(round),
+                    src,
+                    ..
+                } = *ev
+                {
+                    let c = sent.entry((round, src)).or_insert(0u32);
+                    *c += 1;
+                    if *c > 1 {
+                        checker.violations += 1;
+                    }
+                    checker.total += 1;
+                }
             }
-            let c = self.sent_this_round.entry(src.node.0).or_insert(0);
-            *c += 1;
-            if *c > 1 {
-                self.violations += 1;
-            }
-            self.total += 1;
+            checker
         }
     }
 
@@ -200,16 +206,17 @@ mod tests {
     // same network and must behave identically message-for-message.
     fn run_wrapped(n: usize, ell: usize, seed: u64) -> (clique_sync::Outcome, SingleSendChecker) {
         let cfg = improved_tradeoff::Config::with_rounds(ell);
-        let mut checker = SingleSendChecker::default();
+        let sink = SharedSink::new();
         let outcome = SyncSimBuilder::new(n)
             .seed(seed)
             .max_rounds(n * (ell + 1))
             .resolver(Box::new(clique_model::CirculantResolver))
+            .trace(Box::new(sink.clone()))
             .build(|id, n| SingleSend::new(improved_tradeoff::Node::new(id, n, cfg), id, n))
             .unwrap()
-            .run_observed(&mut checker)
+            .run()
             .unwrap();
-        (outcome, checker)
+        (outcome, SingleSendChecker::check(&sink.take()))
     }
 
     fn run_plain(n: usize, ell: usize, seed: u64) -> clique_sync::Outcome {

@@ -4,7 +4,7 @@ use std::any::Any;
 
 use clique_model::ids::{Id, IdAssignment};
 use clique_model::metrics::MessageStats;
-use clique_model::ports::{Endpoint, PortBackend, PortMap, PortResolver, RandomResolver};
+use clique_model::ports::{PortBackend, PortMap, PortResolver, RandomResolver};
 use clique_model::prof::{self, Phase};
 use clique_model::rng::{derive_seed, rng_from_seed};
 use clique_model::setup;
@@ -13,7 +13,6 @@ use clique_model::{Decision, ModelError, NodeIndex, Topology};
 use rand::rngs::SmallRng;
 
 use crate::node::{Context, Received, SyncNode, WakeCause};
-use crate::observer::{NullObserver, Observer};
 use crate::outcome::{HaltReason, Outcome};
 use crate::wakeup::WakeSchedule;
 
@@ -356,6 +355,12 @@ impl SyncSimBuilder {
     }
 }
 
+/// The argument [`SyncSim::step`] takes: a zero-sized unit that carries
+/// nothing. Runs are observed through trace sinks
+/// ([`SyncSimBuilder::trace`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullObserver;
+
 /// A synchronous execution in progress.
 ///
 /// Drive it with [`SyncSim::run`] (to quiescence) or [`SyncSim::step`]
@@ -433,83 +438,58 @@ impl<N: SyncNode> SyncSim<N> {
         &self.ports
     }
 
-    /// Runs to quiescence (or the round cap) without observation.
+    /// Runs to quiescence (or the round cap): [`SyncSim::run_reusing`] on
+    /// a throwaway arena.
     ///
     /// # Errors
     ///
     /// Propagates [`ModelError`] from port resolution (only possible with a
     /// faulty custom resolver).
-    pub fn run(self) -> Result<Outcome, ModelError> {
-        let mut obs = NullObserver;
-        self.run_observed(&mut obs)
+    pub fn run(self) -> Result<Outcome, ModelError>
+    where
+        N::Message: 'static,
+    {
+        self.run_reusing(&mut SyncArena::new())
     }
 
-    /// Runs to quiescence (or the round cap) reporting events to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from port resolution.
-    pub fn run_observed(mut self, observer: &mut dyn Observer) -> Result<Outcome, ModelError> {
-        let halt = self.drive(observer)?;
-        Ok(self.into_outcome(halt))
-    }
-
-    /// The shared round loop of [`SyncSim::run_observed`] and
-    /// [`SyncSim::run_observed_reusing`]: steps until quiescence or the
-    /// round cap and reports which one halted the run.
-    fn drive(&mut self, observer: &mut dyn Observer) -> Result<HaltReason, ModelError> {
+    /// The round loop of [`SyncSim::run_reusing`]: steps until quiescence
+    /// or the round cap and reports which one halted the run.
+    fn drive(&mut self) -> Result<HaltReason, ModelError> {
         let _run = prof::span(Phase::Run);
         while self.round < self.max_rounds {
-            if !self.step(observer)? {
+            if !self.step(&mut NullObserver)? {
                 return Ok(HaltReason::Quiescent);
             }
         }
         Ok(HaltReason::MaxRounds)
     }
 
-    /// Runs to quiescence (or the round cap) like [`SyncSim::run`], then
-    /// returns the recyclable state — the port map, arena inboxes, outbox,
-    /// and wake plan — to `arena` for the next trial instead of dropping
-    /// it. The outcome is identical to [`SyncSim::run`]'s.
+    /// Runs to quiescence (or the round cap), then returns the recyclable
+    /// state — the port map, arena inboxes, outbox, and wake plan — to
+    /// `arena` for the next trial instead of dropping it.
     ///
     /// # Errors
     ///
     /// Propagates [`ModelError`] from port resolution (only possible with a
     /// faulty custom resolver).
-    pub fn run_reusing(self, arena: &mut SyncArena) -> Result<Outcome, ModelError>
+    pub fn run_reusing(mut self, arena: &mut SyncArena) -> Result<Outcome, ModelError>
     where
         N::Message: 'static,
     {
-        let mut obs = NullObserver;
-        self.run_observed_reusing(&mut obs, arena)
-    }
-
-    /// [`SyncSim::run_observed`], recycling state through `arena` like
-    /// [`SyncSim::run_reusing`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from port resolution.
-    pub fn run_observed_reusing(
-        mut self,
-        observer: &mut dyn Observer,
-        arena: &mut SyncArena,
-    ) -> Result<Outcome, ModelError>
-    where
-        N::Message: 'static,
-    {
-        let halt = self.drive(observer)?;
+        let halt = self.drive()?;
         Ok(self.into_outcome_reusing(halt, arena))
     }
 
     /// Executes one full round; returns `false` once the execution is
     /// quiescent (no awake unterminated node remains and no wake-ups are
-    /// pending).
+    /// pending). Observe the round through the builder's trace sink
+    /// ([`SyncSimBuilder::trace`]); the [`NullObserver`] argument carries
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Propagates [`ModelError`] from port resolution.
-    pub fn step(&mut self, observer: &mut dyn Observer) -> Result<bool, ModelError> {
+    pub fn step(&mut self, _: &mut NullObserver) -> Result<bool, ModelError> {
         self.round += 1;
         let round = self.round;
 
@@ -537,7 +517,6 @@ impl<N: SyncNode> SyncSim<N> {
                     };
                     self.nodes[u.0].on_wake(&mut ctx, WakeCause::Adversary);
                     self.outbox = outbox;
-                    observer.on_wake(round, u, WakeCause::Adversary);
                     if self.tracer.enabled() {
                         self.tracer.emit(TraceEvent::Wake {
                             at: At::Round(round as u32),
@@ -579,14 +558,6 @@ impl<N: SyncNode> SyncSim<N> {
                 )?;
                 self.stats.record(round, NodeIndex(u));
                 self.last_activity_round = round;
-                observer.on_message(
-                    round,
-                    Endpoint {
-                        node: NodeIndex(u),
-                        port,
-                    },
-                    dst,
-                );
                 if self.tracer.enabled() {
                     let at = At::Round(round as u32);
                     self.tracer.emit(TraceEvent::Send {
@@ -651,7 +622,6 @@ impl<N: SyncNode> SyncSim<N> {
                 if woke_by_message {
                     self.awake[v] = true;
                     self.nodes[v].on_wake(&mut ctx, WakeCause::Message);
-                    observer.on_wake(round, NodeIndex(v), WakeCause::Message);
                     if self.tracer.enabled() {
                         self.tracer.emit(TraceEvent::Wake {
                             at: At::Round(round as u32),
@@ -678,7 +648,6 @@ impl<N: SyncNode> SyncSim<N> {
                     self.last_decisions[u]
                 );
                 self.last_decisions[u] = d;
-                observer.on_decision(round, NodeIndex(u), d);
                 if self.tracer.enabled() {
                     self.tracer.emit(TraceEvent::Decide {
                         at: At::Round(round as u32),
@@ -690,7 +659,6 @@ impl<N: SyncNode> SyncSim<N> {
             }
         }
 
-        observer.on_round_end(round);
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Round {
                 round: round as u32,
@@ -732,23 +700,17 @@ impl<N: SyncNode> SyncSim<N> {
         self.tracer.finish();
     }
 
-    /// Consumes the simulation into its measurable [`Outcome`].
-    pub fn into_outcome(mut self, halt: HaltReason) -> Outcome {
-        self.finish_trace(halt);
-        Outcome {
-            n: self.n,
-            rounds: self.last_activity_round,
-            stats: self.stats,
-            decisions: self.last_decisions,
-            awake: self.awake,
-            ids: self.ids,
-            messages_to_terminated: self.messages_to_terminated,
-            halt,
-        }
+    /// Consumes the simulation into its measurable [`Outcome`]:
+    /// [`SyncSim::into_outcome_reusing`] on a throwaway arena.
+    pub fn into_outcome(self, halt: HaltReason) -> Outcome
+    where
+        N::Message: 'static,
+    {
+        self.into_outcome_reusing(halt, &mut SyncArena::new())
     }
 
-    /// [`SyncSim::into_outcome`], stashing the recyclable state into
-    /// `arena` on the way out.
+    /// Consumes the simulation into its measurable [`Outcome`], stashing
+    /// the recyclable state into `arena` on the way out.
     pub fn into_outcome_reusing(mut self, halt: HaltReason, arena: &mut SyncArena) -> Outcome
     where
         N::Message: 'static,

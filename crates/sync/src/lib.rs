@@ -84,12 +84,10 @@
 
 pub mod engine;
 pub mod node;
-pub mod observer;
 pub mod outcome;
 pub mod wakeup;
 
-pub use engine::{SyncArena, SyncSim, SyncSimBuilder};
+pub use engine::{NullObserver, SyncArena, SyncSim, SyncSimBuilder};
 pub use node::{Context, Received, SyncNode, WakeCause};
-pub use observer::{NullObserver, Observer, TraceBridge};
 pub use outcome::{ElectionViolation, HaltReason, Outcome};
 pub use wakeup::WakeSchedule;

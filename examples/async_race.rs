@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `LE_N` overrides the network size (the smoke tests shrink it).
     let n: usize = std::env::var("LE_N")
         .ok()
-        .and_then(|v| v.parse().ok())
+        .map(|v| v.parse())
+        .transpose()?
         .unwrap_or(512);
     let delays = ["uniform(0,1]", "const(1) worst-case", "bimodal rushing"];
 

@@ -12,23 +12,25 @@ use improved_le::analysis::Table;
 use improved_le::bounds::adversary::ComponentAdversary;
 use improved_le::bounds::commgraph::GraphObserver;
 use improved_le::bounds::formulas;
-use improved_le::sync::SyncSimBuilder;
+use improved_le::sync::{NullObserver, SyncSimBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `LE_N` overrides the network size (the smoke tests shrink it).
     let n: usize = std::env::var("LE_N")
         .ok()
-        .and_then(|v| v.parse().ok())
+        .map(|v| v.parse())
+        .transpose()?
         .unwrap_or(512);
     let f = 4.0; // assumed message budget n·f
     let ell = 7;
 
     let cfg = Config::with_rounds(ell);
     let (adversary, probe) = ComponentAdversary::new(n, f);
-    let mut observer = GraphObserver::new(n);
+    let observer = GraphObserver::new(n);
     let mut sim = SyncSimBuilder::new(n)
         .seed(3)
         .resolver(Box::new(adversary))
+        .trace(Box::new(observer.clone()))
         .build(|id, n| Node::new(id, n, cfg))?;
 
     let mut table = Table::new(vec![
@@ -45,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut round = 0;
     loop {
         round += 1;
-        let more = sim.step(&mut observer)?;
+        let more = sim.step(&mut NullObserver)?;
         let largest = observer.graph().largest_component_at(round + 1);
         let envelope = 2f64
             .powi(formulas::sigma(f, round + 1) as i32)

@@ -12,7 +12,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `LE_N` overrides the network size (the smoke tests shrink it).
     let n: usize = std::env::var("LE_N")
         .ok()
-        .and_then(|v| v.parse().ok())
+        .map(|v| v.parse())
+        .transpose()?
         .unwrap_or(128);
     let rounds = 5; // any odd ℓ ≥ 3; more rounds → fewer messages
 

@@ -20,7 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(a) => a.parse()?,
         None => std::env::var("LE_N")
             .ok()
-            .and_then(|v| v.parse().ok())
+            .map(|v| v.parse())
+            .transpose()?
             .unwrap_or(1024),
     };
 
