@@ -459,7 +459,9 @@ pub fn parse_line(line: &str) -> Result<Event, String> {
                     "field \"maxdeg\": degree {maxdeg} impossible with n = {n}"
                 ));
             }
-            if 2 * m > u64::from(n) * u64::from(maxdeg) {
+            // `m > ⌊n·maxdeg/2⌋` is `2m > n·maxdeg` without overflowing
+            // on a hostile `m`.
+            if m > u64::from(n) * u64::from(maxdeg) / 2 {
                 return Err(format!(
                     "field \"m\": {m} edge(s) exceed the degree-sum bound \
                      n·maxdeg/2 = {}",

@@ -38,6 +38,14 @@
 //! `"round"`, asynchronous events carry `"t"` (shortest-roundtrip `f64`
 //! formatting, so serialization is deterministic given identical bits).
 //! `le_analysis::trace` is the matching parser/validator.
+//!
+//! The serializer ([`TraceEvent::write_jsonl`]) is hand-written: keys and
+//! string values are copied and integers are written two decimal digits
+//! at a time into a stack buffer, which reaches the output in one
+//! `push_str` per line. Only the async `"t"` goes through `fmt`, as
+//! `{:?}`, the shortest form that parses back to the same `f64`. Strings
+//! are written unescaped, so the engines' `&'static str` names must not
+//! need JSON escaping.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -344,99 +352,75 @@ impl TraceEvent {
     /// Appends this event as one JSONL line (including the trailing
     /// newline) to `out`.
     pub fn write_jsonl(&self, out: &mut String) {
-        use std::fmt::Write;
-        let at = |out: &mut String, at: &At| match at {
-            At::Round(r) => write!(out, "\"round\":{r}").expect("infallible"),
-            At::Time(t) => write!(out, "\"t\":{t:?}").expect("infallible"),
-        };
-        out.push('{');
-        match self {
-            TraceEvent::Wake { at: a, node, cause } => {
-                out.push_str("\"ev\":\"wake\",");
-                at(out, a);
-                let cause = match cause {
-                    WakeCause::Adversary => "adv",
-                    WakeCause::Message => "msg",
-                };
-                write!(out, ",\"node\":{node},\"cause\":\"{cause}\"").expect("infallible");
+        let mut line = Line::new(out);
+        match *self {
+            TraceEvent::Wake { at, node, cause } => {
+                line.str("{\"ev\":\"wake\",");
+                line.at(at);
+                line.num(",\"node\":", node);
+                line.str(match cause {
+                    WakeCause::Adversary => ",\"cause\":\"adv\"",
+                    WakeCause::Message => ",\"cause\":\"msg\"",
+                });
             }
             TraceEvent::Send {
-                at: a,
+                at,
                 src,
                 port,
                 dst,
                 cls,
             } => {
-                out.push_str("\"ev\":\"send\",");
-                at(out, a);
-                write!(out, ",\"src\":{src},\"port\":{port},\"dst\":{dst}").expect("infallible");
+                line.str("{\"ev\":\"send\",");
+                line.at(at);
+                line.num(",\"src\":", src);
+                line.num(",\"port\":", port);
+                line.num(",\"dst\":", dst);
                 if let Some(cls) = cls {
-                    write!(out, ",\"cls\":\"{cls}\"").expect("infallible");
+                    line.quoted(",\"cls\":", cls);
                 }
             }
-            TraceEvent::Deliver {
-                at: a,
-                src,
-                dst,
-                cls,
-            } => {
-                out.push_str("\"ev\":\"deliver\",");
-                at(out, a);
-                write!(out, ",\"src\":{src},\"dst\":{dst}").expect("infallible");
+            TraceEvent::Deliver { at, src, dst, cls } => {
+                line.str("{\"ev\":\"deliver\",");
+                line.at(at);
+                line.num(",\"src\":", src);
+                line.num(",\"dst\":", dst);
                 if let Some(cls) = cls {
-                    write!(out, ",\"cls\":\"{cls}\"").expect("infallible");
+                    line.quoted(",\"cls\":", cls);
                 }
             }
-            TraceEvent::Decide {
-                at: a,
-                node,
-                leader,
-            } => {
-                out.push_str("\"ev\":\"decide\",");
-                at(out, a);
-                let d = if *leader { "leader" } else { "nonleader" };
-                write!(out, ",\"node\":{node},\"d\":\"{d}\"").expect("infallible");
+            TraceEvent::Decide { at, node, leader } => {
+                line.str("{\"ev\":\"decide\",");
+                line.at(at);
+                line.num(",\"node\":", node);
+                line.str(if leader {
+                    ",\"d\":\"leader\""
+                } else {
+                    ",\"d\":\"nonleader\""
+                });
             }
             TraceEvent::Round { round, msgs } => {
-                write!(out, "\"ev\":\"round\",\"round\":{round},\"msgs\":{msgs}")
-                    .expect("infallible");
+                line.num("{\"ev\":\"round\",\"round\":", round);
+                line.num(",\"msgs\":", msgs);
             }
-            TraceEvent::Fault {
-                at: a,
-                kind,
-                src,
-                dst,
-            } => {
-                out.push_str("\"ev\":\"fault\",");
-                at(out, a);
-                write!(
-                    out,
-                    ",\"kind\":\"{}\",\"src\":{src},\"dst\":{dst}",
-                    kind.name()
-                )
-                .expect("infallible");
+            TraceEvent::Fault { at, kind, src, dst } => {
+                line.str("{\"ev\":\"fault\",");
+                line.at(at);
+                line.quoted(",\"kind\":", kind.name());
+                line.num(",\"src\":", src);
+                line.num(",\"dst\":", dst);
             }
             TraceEvent::Backend { backend, counters } => {
-                write!(
-                    out,
-                    "\"ev\":\"backend\",\"backend\":\"{backend}\",\
-                     \"memo_hits\":{},\"memo_misses\":{},\"table_grows\":{},\
-                     \"rows_materialized\":{}",
-                    counters.memo_hits,
-                    counters.memo_misses,
-                    counters.table_grows,
-                    counters.rows_materialized,
-                )
-                .expect("infallible");
+                line.quoted("{\"ev\":\"backend\",\"backend\":", backend);
+                line.num(",\"memo_hits\":", counters.memo_hits);
+                line.num(",\"memo_misses\":", counters.memo_misses);
+                line.num(",\"table_grows\":", counters.table_grows);
+                line.num(",\"rows_materialized\":", counters.rows_materialized);
             }
-            TraceEvent::Halt {
-                at: a,
-                msgs,
-                reason,
-            } => {
-                out.push_str("\"ev\":\"halt\",");
-                at(out, a);
-                write!(out, ",\"msgs\":{msgs},\"reason\":\"{reason}\"").expect("infallible");
+            TraceEvent::Halt { at, msgs, reason } => {
+                line.str("{\"ev\":\"halt\",");
+                line.at(at);
+                line.num(",\"msgs\":", msgs);
+                line.quoted(",\"reason\":", reason);
             }
             TraceEvent::Topology {
                 generator,
@@ -444,15 +428,14 @@ impl TraceEvent {
                 m,
                 maxdeg,
             } => {
-                write!(
-                    out,
-                    "\"ev\":\"topo\",\"gen\":\"{generator}\",\"n\":{n},\"m\":{m},\
-                     \"maxdeg\":{maxdeg}",
-                )
-                .expect("infallible");
+                line.quoted("{\"ev\":\"topo\",\"gen\":", generator);
+                line.num(",\"n\":", n);
+                line.num(",\"m\":", m);
+                line.num(",\"maxdeg\":", maxdeg);
             }
         }
-        out.push_str("}\n");
+        line.str("}\n");
+        line.flush();
     }
 
     /// This event as one JSONL line (including the trailing newline).
@@ -460,6 +443,123 @@ impl TraceEvent {
         let mut s = String::new();
         self.write_jsonl(&mut s);
         s
+    }
+}
+
+/// Bytes [`Line`] stages before appending to its `out`: room for any
+/// line with the engines' strings at the widest integers (the longest, a
+/// `sparse` backend line with four 20-digit counters, is 180 bytes).
+const LINE_CAP: usize = 192;
+
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per table read.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// One JSONL line under construction. Keys, `&'static str` values and
+/// decimal digits are staged in a stack buffer and reach `out` in one
+/// `push_str` per line; a string too long for the room left goes to
+/// `out` directly, and so does the `{:?}` form of an async time.
+///
+/// The appending methods are `#[inline(always)]` so that each constant
+/// key becomes a fixed-size copy inside `write_jsonl`; left to the
+/// inliner, a sync send line took 60 ns instead of 37 (x86-64, release).
+struct Line<'a> {
+    out: &'a mut String,
+    buf: [u8; LINE_CAP],
+    len: usize,
+}
+
+impl<'a> Line<'a> {
+    fn new(out: &'a mut String) -> Self {
+        Line {
+            out,
+            buf: [0; LINE_CAP],
+            len: 0,
+        }
+    }
+
+    /// Appends the staged bytes to `out`.
+    fn flush(&mut self) {
+        let staged = std::str::from_utf8(&self.buf[..self.len])
+            .expect("only whole strs and ASCII digits are staged");
+        self.out.push_str(staged);
+        self.len = 0;
+    }
+
+    /// Appends `s`, staged if it fits in the room left (after a flush if
+    /// need be), otherwise straight to `out`.
+    #[inline(always)]
+    fn str(&mut self, s: &str) {
+        if s.len() > LINE_CAP - self.len {
+            self.flush();
+            if s.len() > LINE_CAP {
+                self.out.push_str(s);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+        self.len += s.len();
+    }
+
+    /// Appends `v` in decimal, two digits at a time from the right.
+    #[inline(always)]
+    fn int(&mut self, v: impl Into<u64>) {
+        let mut v: u64 = v.into();
+        let width = v.checked_ilog10().map_or(1, |log| log as usize + 1);
+        if width > LINE_CAP - self.len {
+            self.flush();
+        }
+        self.len += width;
+        let mut end = self.len;
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            self.buf[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+            end -= 2;
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            self.buf[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            self.buf[end - 1] = b'0' + v as u8;
+        }
+    }
+
+    #[inline(always)]
+    fn num(&mut self, key: &str, v: impl Into<u64>) {
+        self.str(key);
+        self.int(v);
+    }
+
+    #[inline(always)]
+    fn quoted(&mut self, key: &str, s: &str) {
+        self.str(key);
+        self.str("\"");
+        self.str(s);
+        self.str("\"");
+    }
+
+    /// The stamp: `"round":N`, or `"t":` and the shortest-roundtrip
+    /// `{:?}` form of the time, the one field written through `fmt`.
+    #[inline(always)]
+    fn at(&mut self, at: At) {
+        match at {
+            At::Round(r) => self.num("\"round\":", r),
+            At::Time(t) => {
+                use std::fmt::Write;
+                self.str("\"t\":");
+                self.flush();
+                write!(self.out, "{t:?}").expect("writing to a String cannot fail");
+            }
+        }
     }
 }
 
@@ -726,15 +826,19 @@ pub fn uninstall_collector() -> Option<String> {
 /// one is installed, otherwise parked in a bounded global spill
 /// retrievable with [`drain_spill`] (standalone runs outside a sweep).
 pub fn submit_block(block: String) {
-    let routed = COLLECTOR.with(|c| {
-        if let Some(buf) = c.borrow_mut().as_mut() {
-            buf.push_str(&block);
-            true
-        } else {
-            false
+    let unrouted = COLLECTOR.with(|c| match c.borrow_mut().as_mut() {
+        // Most units finish one block: move it in rather than copy it.
+        Some(buf) if buf.is_empty() => {
+            *buf = block;
+            None
         }
+        Some(buf) => {
+            buf.push_str(&block);
+            None
+        }
+        None => Some(block),
     });
-    if !routed {
+    if let Some(block) = unrouted {
         let mut spill = spill().lock().expect("trace spill poisoned");
         if spill.len() == SPILL_CAP {
             spill.pop_front();
@@ -756,6 +860,301 @@ pub fn drain_spill() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `write!`-based serializer `write_jsonl` replaced, kept as the
+    /// oracle its output must equal byte for byte.
+    fn write_jsonl_fmt(ev: &TraceEvent, out: &mut String) {
+        use std::fmt::Write;
+        let at = |out: &mut String, at: &At| match at {
+            At::Round(r) => write!(out, "\"round\":{r}").expect("infallible"),
+            At::Time(t) => write!(out, "\"t\":{t:?}").expect("infallible"),
+        };
+        out.push('{');
+        match ev {
+            TraceEvent::Wake { at: a, node, cause } => {
+                out.push_str("\"ev\":\"wake\",");
+                at(out, a);
+                let cause = match cause {
+                    WakeCause::Adversary => "adv",
+                    WakeCause::Message => "msg",
+                };
+                write!(out, ",\"node\":{node},\"cause\":\"{cause}\"").expect("infallible");
+            }
+            TraceEvent::Send {
+                at: a,
+                src,
+                port,
+                dst,
+                cls,
+            } => {
+                out.push_str("\"ev\":\"send\",");
+                at(out, a);
+                write!(out, ",\"src\":{src},\"port\":{port},\"dst\":{dst}").expect("infallible");
+                if let Some(cls) = cls {
+                    write!(out, ",\"cls\":\"{cls}\"").expect("infallible");
+                }
+            }
+            TraceEvent::Deliver {
+                at: a,
+                src,
+                dst,
+                cls,
+            } => {
+                out.push_str("\"ev\":\"deliver\",");
+                at(out, a);
+                write!(out, ",\"src\":{src},\"dst\":{dst}").expect("infallible");
+                if let Some(cls) = cls {
+                    write!(out, ",\"cls\":\"{cls}\"").expect("infallible");
+                }
+            }
+            TraceEvent::Decide {
+                at: a,
+                node,
+                leader,
+            } => {
+                out.push_str("\"ev\":\"decide\",");
+                at(out, a);
+                let d = if *leader { "leader" } else { "nonleader" };
+                write!(out, ",\"node\":{node},\"d\":\"{d}\"").expect("infallible");
+            }
+            TraceEvent::Round { round, msgs } => {
+                write!(out, "\"ev\":\"round\",\"round\":{round},\"msgs\":{msgs}")
+                    .expect("infallible");
+            }
+            TraceEvent::Fault {
+                at: a,
+                kind,
+                src,
+                dst,
+            } => {
+                out.push_str("\"ev\":\"fault\",");
+                at(out, a);
+                write!(
+                    out,
+                    ",\"kind\":\"{}\",\"src\":{src},\"dst\":{dst}",
+                    kind.name()
+                )
+                .expect("infallible");
+            }
+            TraceEvent::Backend { backend, counters } => {
+                write!(
+                    out,
+                    "\"ev\":\"backend\",\"backend\":\"{backend}\",\
+                     \"memo_hits\":{},\"memo_misses\":{},\"table_grows\":{},\
+                     \"rows_materialized\":{}",
+                    counters.memo_hits,
+                    counters.memo_misses,
+                    counters.table_grows,
+                    counters.rows_materialized,
+                )
+                .expect("infallible");
+            }
+            TraceEvent::Halt {
+                at: a,
+                msgs,
+                reason,
+            } => {
+                out.push_str("\"ev\":\"halt\",");
+                at(out, a);
+                write!(out, ",\"msgs\":{msgs},\"reason\":\"{reason}\"").expect("infallible");
+            }
+            TraceEvent::Topology {
+                generator,
+                n,
+                m,
+                maxdeg,
+            } => {
+                write!(
+                    out,
+                    "\"ev\":\"topo\",\"gen\":\"{generator}\",\"n\":{n},\"m\":{m},\
+                     \"maxdeg\":{maxdeg}",
+                )
+                .expect("infallible");
+            }
+        }
+        out.push_str("}\n");
+    }
+
+    /// Integers at every decimal width boundary.
+    fn int_edges() -> Vec<u64> {
+        let mut edges = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p, p + 1]);
+        }
+        edges
+    }
+
+    /// Times at the edges of `{:?}`'s shortest-roundtrip `f64` forms.
+    const TIME_EDGES: [f64; 6] = [0.0, 0.1 + 0.2, 1e-7, 5e-324, 1e16, f64::MAX];
+
+    /// Strings around the staging buffer's capacity, a multi-byte one,
+    /// and one over 1 KiB.
+    fn str_edges() -> &'static [&'static str] {
+        static EDGES: OnceLock<Vec<&'static str>> = OnceLock::new();
+        EDGES.get_or_init(|| {
+            let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+            vec![
+                "",
+                "probe",
+                "ünïcödé",
+                leak("a".repeat(LINE_CAP - 40)),
+                leak("b".repeat(LINE_CAP)),
+                leak("c".repeat(LINE_CAP + 1)),
+                leak("long-class-name/".repeat(80)),
+            ]
+        })
+    }
+
+    const FAULT_KINDS: [FaultKind; 8] = [
+        FaultKind::Loss,
+        FaultKind::Queue,
+        FaultKind::CrashDrop,
+        FaultKind::Retransmit,
+        FaultKind::Ack,
+        FaultKind::Abandon,
+        FaultKind::Crash,
+        FaultKind::Recover,
+    ];
+
+    /// Every variant (both wake causes, both decisions, every fault kind,
+    /// `cls` both set and unset) stamped `at`, with its `u32` fields from
+    /// `small`, its `u64` fields from `wide` and its strings `s`.
+    fn every_variant(at: At, small: [u32; 4], wide: [u64; 4], s: &'static str) -> Vec<TraceEvent> {
+        let [a, b, c, d] = small;
+        let mut evs = vec![
+            TraceEvent::Wake {
+                at,
+                node: a,
+                cause: WakeCause::Adversary,
+            },
+            TraceEvent::Wake {
+                at,
+                node: b,
+                cause: WakeCause::Message,
+            },
+            TraceEvent::Decide {
+                at,
+                node: c,
+                leader: true,
+            },
+            TraceEvent::Decide {
+                at,
+                node: d,
+                leader: false,
+            },
+            TraceEvent::Round {
+                round: a,
+                msgs: wide[0],
+            },
+            TraceEvent::Backend {
+                backend: s,
+                counters: BackendCounters {
+                    memo_hits: wide[0],
+                    memo_misses: wide[1],
+                    table_grows: wide[2],
+                    rows_materialized: wide[3],
+                },
+            },
+            TraceEvent::Halt {
+                at,
+                msgs: wide[1],
+                reason: s,
+            },
+            TraceEvent::Topology {
+                generator: s,
+                n: b,
+                m: wide[2],
+                maxdeg: c,
+            },
+        ];
+        for cls in [None, Some(s)] {
+            evs.push(TraceEvent::Send {
+                at,
+                src: a,
+                port: b,
+                dst: c,
+                cls,
+            });
+            evs.push(TraceEvent::Deliver {
+                at,
+                src: d,
+                dst: a,
+                cls,
+            });
+        }
+        for kind in FAULT_KINDS {
+            evs.push(TraceEvent::Fault {
+                at,
+                kind,
+                src: b,
+                dst: d,
+            });
+        }
+        evs
+    }
+
+    /// Appends every event to one buffer with each serializer and
+    /// compares the two, so appending to a non-empty `out` is covered.
+    fn assert_matches_oracle(evs: &[TraceEvent]) {
+        let (mut ours, mut oracle) = (String::new(), String::new());
+        for ev in evs {
+            ev.write_jsonl(&mut ours);
+            write_jsonl_fmt(ev, &mut oracle);
+        }
+        if ours != oracle {
+            let bad = ours.lines().zip(oracle.lines()).find(|(a, b)| a != b);
+            panic!("serializer diverged from the oracle: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn serializer_matches_the_fmt_oracle_at_the_edges() {
+        let wide = int_edges();
+        let small: Vec<u32> = wide.iter().filter_map(|&v| u32::try_from(v).ok()).collect();
+        let pick = |k: usize| {
+            (
+                std::array::from_fn(|j| small[(k + j) % small.len()]),
+                std::array::from_fn(|j| wide[(k + j) % wide.len()]),
+            )
+        };
+        let stamps = small
+            .iter()
+            .map(|&r| At::Round(r))
+            .chain(TIME_EDGES.map(At::Time));
+        for at in stamps {
+            for k in 0..wide.len() {
+                let (small, wide) = pick(k);
+                for &s in str_edges() {
+                    assert_matches_oracle(&every_variant(at, small, wide, s));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn serializer_matches_the_fmt_oracle_on_random_fields(
+            words in proptest::collection::vec(0u64..u64::MAX, 8..9),
+            shifts in proptest::collection::vec(0u32..64, 8..9),
+            t_bits in 0u64..0x7FF0_0000_0000_0000,
+            pick in 0usize..64,
+        ) {
+            // Shifting spreads the draws over every decimal width.
+            let w: Vec<u64> = words.iter().zip(&shifts).map(|(w, s)| w >> s).collect();
+            let small = std::array::from_fn(|j| (w[j] >> 32) as u32);
+            let wide = std::array::from_fn(|j| w[4 + j]);
+            let at = if pick % 2 == 0 {
+                At::Round(small[0])
+            } else {
+                At::Time(f64::from_bits(t_bits))
+            };
+            let strs = str_edges();
+            assert_matches_oracle(&every_variant(at, small, wide, strs[pick / 2 % strs.len()]));
+        }
+    }
 
     #[test]
     fn spec_parses_all_and_lists() {
@@ -825,6 +1224,20 @@ mod tests {
         // With no collector, blocks park in the spill.
         submit_block("c\n".into());
         assert_eq!(drain_spill(), vec!["c\n".to_string()]);
+    }
+
+    #[test]
+    fn the_first_block_is_moved_into_an_empty_collector() {
+        install_collector();
+        // Room for both blocks, so the second append does not reallocate.
+        let mut block = String::with_capacity(16);
+        block.push_str("a\n");
+        let heap = block.as_ptr();
+        submit_block(block);
+        submit_block("b\n".into());
+        let collected = uninstall_collector().expect("two blocks were collected");
+        assert_eq!(collected, "a\nb\n");
+        assert_eq!(collected.as_ptr(), heap, "the first block was copied");
     }
 
     #[test]
