@@ -2331,6 +2331,41 @@ mod tests {
     }
 
     #[test]
+    fn lossy_reliable_event_count_is_pinned() {
+        // Every popped event counts toward `max_events`, stale `Retry`
+        // timers included, so the queue may never drop, cancel or merge
+        // an uncancellable timer. The number of events a lossy reliable
+        // run processes, and the run itself, are pinned here.
+        let mut sim = AsyncSimBuilder::new(64)
+            .seed(0)
+            .network(
+                NetworkConfig::new()
+                    .loss(0.1)
+                    .reliable(Reliability::default()),
+            )
+            .build(Flood::new)
+            .unwrap();
+        let mut events = 0u64;
+        while sim.step().unwrap() {
+            events += 1;
+        }
+        let outcome = sim.into_outcome(AsyncHaltReason::QueueDrained);
+        outcome.validate_explicit().unwrap();
+        assert!(outcome.stats.faults.retransmits > 0);
+        // Time ≈ 78.674: far past any one time unit, so late timers and
+        // retransmissions are part of the pinned order.
+        assert_eq!(
+            (
+                events,
+                outcome.time.to_bits(),
+                outcome.stats.total(),
+                outcome.unique_leader()
+            ),
+            (13491, 0x4053_ab28_5f56_b439, 4032, Some(NodeIndex(26)))
+        );
+    }
+
+    #[test]
     fn stale_retry_timers_do_not_inflate_time() {
         // A clean reliable run still arms one timer per transmission; the
         // timers fire long after quiescence of useful work and must not
