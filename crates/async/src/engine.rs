@@ -1,8 +1,6 @@
 //! The asynchronous event-driven engine.
 
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use clique_model::ids::{Id, IdAssignment};
 use clique_model::metrics::MessageStats;
@@ -22,6 +20,7 @@ use crate::network::reliability::{Outstanding, RelState};
 use crate::network::{LinkTable, NetworkConfig, Reliability};
 use crate::node::{AsyncContext, AsyncNode, Received};
 use crate::outcome::{AsyncHaltReason, AsyncOutcome};
+use crate::queue::EventQueue;
 use crate::wakeup::AsyncWakeSchedule;
 
 /// Seed stream tags (mirroring the synchronous engine), so every consumer of
@@ -39,45 +38,58 @@ fn link_key(src: NodeIndex, dst: NodeIndex, n: usize) -> usize {
     src.0 * n + dst.0
 }
 
-/// What happens at a scheduled point in time.
+/// What happens at a scheduled point in time. Nodes and ports are stored
+/// as `u32` (the builder rejects larger networks), and the reliability
+/// protocol's receiver port lives in its link state, which keeps an event
+/// carrying a two-word message at 48 bytes.
 enum EventKind<M> {
     /// The adversary wakes a node.
-    Wake(NodeIndex),
+    Wake(u32),
     /// A payload is delivered (a network without the reliability
     /// protocol).
     Deliver {
-        src: NodeIndex,
-        dst: NodeIndex,
-        dst_port: Port,
+        src: u32,
+        dst: u32,
+        dst_port: u32,
         msg: M,
     },
     /// A sequence-numbered data copy of the reliability protocol arrives.
+    /// The receiver-side port is the link's [`RelLink::dst_port`].
+    ///
+    /// [`RelLink::dst_port`]: crate::network::reliability::RelLink::dst_port
     DeliverData {
-        src: NodeIndex,
-        dst: NodeIndex,
-        dst_port: Port,
+        src: u32,
+        dst: u32,
         data_seq: u32,
         msg: M,
     },
     /// A delivery acknowledgement arrives back at the data sender `to`.
-    DeliverAck {
-        to: NodeIndex,
-        from: NodeIndex,
-        data_seq: u32,
-    },
+    DeliverAck { to: u32, from: u32, data_seq: u32 },
     /// A retransmission timer fires for the payload `data_seq` on link
     /// `src → dst`, armed after that payload's `attempt`-th transmission
     /// (stale once the attempt count moved on).
     Retry {
-        src: NodeIndex,
-        dst: NodeIndex,
+        src: u32,
+        dst: u32,
         data_seq: u32,
         attempt: u32,
     },
     /// A scheduled crash fault fells a node.
-    Crash(NodeIndex),
+    Crash(u32),
     /// A crashed node recovers (resuming its pre-crash state).
-    Recover(NodeIndex),
+    Recover(u32),
+}
+
+/// A node index as stored in an [`EventKind`].
+#[inline]
+fn ix(u: NodeIndex) -> u32 {
+    u.0 as u32
+}
+
+/// The node index an [`EventKind`] stores as `u32`.
+#[inline]
+fn node(u: u32) -> NodeIndex {
+    NodeIndex(u as usize)
 }
 
 /// How a wire transmission attempt fared against the faulty network.
@@ -90,46 +102,11 @@ enum WireFate {
     Lost,
 }
 
-/// A scheduled event. Ordered by `(time, seq)`; `seq` is the global push
-/// counter, which makes the pop order fully deterministic and acts as the
-/// FIFO tie-break for simultaneous deliveries.
-struct Event<M> {
-    time: f64,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        // Times are always finite: the engine validates every adversary
-        // delay (rejecting NaN/out-of-range) before scheduling.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Reusable simulation state for repeated asynchronous trials: the
 /// [`PortMap`], the per-link FIFO-floor storage (a flat `Θ(n²)` array on
 /// the dense backend, a hashed touched-links map on the sparse one), the
-/// event queue's heap storage, and the outbox.
+/// event queue's storage (its current-bucket heap, the chunks of its time
+/// buckets and its overflow list), and the outbox.
 ///
 /// The asynchronous mirror of [`clique_sync::SyncArena`]: build through
 /// [`AsyncSimBuilder::build_in`], finish with [`AsyncSim::run_reusing`],
@@ -200,7 +177,7 @@ impl std::fmt::Debug for AsyncArena {
 /// The message-typed recyclable buffers of an [`AsyncArena`], stored
 /// type-erased so one arena serves algorithms with different message types.
 struct AsyncBuffers<M> {
-    queue: BinaryHeap<Event<M>>,
+    queue: EventQueue<EventKind<M>>,
     outbox: Vec<(Port, M)>,
     rel: RelState<M>,
 }
@@ -208,7 +185,7 @@ struct AsyncBuffers<M> {
 impl<M> Default for AsyncBuffers<M> {
     fn default() -> Self {
         AsyncBuffers {
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             outbox: Vec::new(),
             rel: RelState::default(),
         }
@@ -234,7 +211,6 @@ pub struct AsyncSimBuilder {
     max_events: Option<u64>,
     network: Option<NetworkConfig>,
     trace: Option<Box<dyn TraceSink>>,
-    lean_stats: bool,
 }
 
 impl std::fmt::Debug for AsyncSimBuilder {
@@ -264,7 +240,6 @@ impl AsyncSimBuilder {
             max_events: None,
             network: None,
             trace: None,
-            lean_stats: false,
         }
     }
 
@@ -369,14 +344,6 @@ impl AsyncSimBuilder {
         self
     }
 
-    /// Skips the `Θ(n)` per-node message histogram (see
-    /// [`MessageStats::new_lean`]) — for sweeps at scales where per-trial
-    /// collection cost matters more than per-node distribution shape.
-    pub fn lean_stats(mut self, lean: bool) -> Self {
-        self.lean_stats = lean;
-        self
-    }
-
     /// Instantiates the simulation, creating one node per network position
     /// via `factory(id, n)`.
     ///
@@ -384,6 +351,10 @@ impl AsyncSimBuilder {
     ///
     /// Returns [`ModelError`] if `n < 2` or the default ID universe cannot
     /// cover `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`AsyncSimBuilder::build_in`] does.
     pub fn build<N, F>(self, factory: F) -> Result<AsyncSim<N>, ModelError>
     where
         N: AsyncNode,
@@ -404,6 +375,11 @@ impl AsyncSimBuilder {
     ///
     /// Returns [`ModelError`] if `n < 2` or the default ID universe cannot
     /// cover `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`, or if a scheduled crash fault
+    /// targets a node outside the network.
     pub fn build_in<N, F>(
         self,
         arena: &mut AsyncArena,
@@ -416,6 +392,10 @@ impl AsyncSimBuilder {
     {
         let _build = prof::span(Phase::Build);
         let n = self.n;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "events store nodes and ports as u32, so n = {n} is too large"
+        );
         let (ids, topo) = setup::ids_and_topology(n, self.seed, self.ids, self.topology)?;
         let backend = self
             .backend
@@ -455,15 +435,9 @@ impl AsyncSimBuilder {
             .unwrap_or_else(|| AsyncWakeSchedule::single(NodeIndex(0)));
 
         let mut queue = bufs.queue;
-        let mut seq = 0u64;
         let mut last_scheduled_wake = 0.0f64;
         for &(t, u) in wake.entries() {
-            queue.push(Event {
-                time: t,
-                seq,
-                kind: EventKind::Wake(u),
-            });
-            seq += 1;
+            queue.push(t, EventKind::Wake(ix(u)));
             last_scheduled_wake = last_scheduled_wake.max(t);
         }
 
@@ -474,19 +448,9 @@ impl AsyncSimBuilder {
                 "crash fault targets {} outside the {n}-node network",
                 cf.node
             );
-            queue.push(Event {
-                time: cf.at,
-                seq,
-                kind: EventKind::Crash(cf.node),
-            });
-            seq += 1;
+            queue.push(cf.at, EventKind::Crash(ix(cf.node)));
             if let Some(back) = cf.recover_at {
-                queue.push(Event {
-                    time: back,
-                    seq,
-                    kind: EventKind::Recover(cf.node),
-                });
-                seq += 1;
+                queue.push(back, EventKind::Recover(ix(cf.node)));
             }
         }
         if let Some(rc) = net.fault_plan().random() {
@@ -498,23 +462,13 @@ impl AsyncSimBuilder {
                 // Uniform over (0, window]: a crash at exactly 0 would
                 // be indistinguishable from never scheduling the node.
                 let t = rc.window * (1.0 - fault_rng.gen::<f64>());
-                queue.push(Event {
-                    time: t,
-                    seq,
-                    kind: EventKind::Crash(NodeIndex(v)),
-                });
-                seq += 1;
+                queue.push(t, EventKind::Crash(ix(NodeIndex(v))));
             }
         }
 
         let tracer = match self.trace {
             Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
             None => Tracer::from_env(),
-        };
-        let stats = if self.lean_stats {
-            MessageStats::new_lean(n)
-        } else {
-            MessageStats::new(n)
         };
         Ok(AsyncSim {
             n,
@@ -530,13 +484,13 @@ impl AsyncSimBuilder {
             delay_rng: rng_from_seed(derive_seed(self.seed, STREAM_DELAYS)),
             transcript: Transcript::new(n),
             queue,
-            seq,
             fifo_front,
             max_events: self
                 .max_events
                 .unwrap_or(64 * (n as u64) * (n as u64) + 4096),
             awake: vec![false; n],
-            stats,
+            awake_count: 0,
+            stats: MessageStats::new(n),
             tracer,
             outbox: bufs.outbox,
             last_decisions: vec![Decision::Undecided; n],
@@ -564,7 +518,11 @@ impl AsyncSimBuilder {
 /// An asynchronous execution in progress.
 ///
 /// Drive it with [`AsyncSim::run`] (to quiescence) or
-/// [`AsyncSim::step`] (event by event).
+/// [`AsyncSim::step`] (event by event). Pending events wait in a bucketed
+/// event queue that pops them in exact `(time, seq)` order, `seq` being
+/// the push counter: simultaneous events run in the order they were
+/// scheduled. Every pop is one event toward the event cap, including a
+/// retransmission timer whose payload was already acknowledged.
 pub struct AsyncSim<N: AsyncNode> {
     n: usize,
     ids: IdAssignment,
@@ -577,8 +535,7 @@ pub struct AsyncSim<N: AsyncNode> {
     delay_rng: SmallRng,
     /// Per-node sent/delivered counts, maintained for adaptive adversaries.
     transcript: Transcript,
-    queue: BinaryHeap<Event<N::Message>>,
-    seq: u64,
+    queue: EventQueue<EventKind<N::Message>>,
     /// Per directed link `src·n + dst`: the latest delivery time already
     /// scheduled, enforcing FIFO order. Flat under the dense backend
     /// (this sits on the per-message dispatch path), hashed under the
@@ -586,6 +543,8 @@ pub struct AsyncSim<N: AsyncNode> {
     fifo_front: LinkTable,
     max_events: u64,
     awake: Vec<bool>,
+    /// The number of `true` entries of `awake`.
+    awake_count: usize,
     stats: MessageStats,
     /// Structured event tracing (disabled path: one `bool` load per site).
     tracer: Tracer,
@@ -757,6 +716,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         let mut effective = true;
         match ev.kind {
             EventKind::Wake(u) => {
+                let u = node(u);
                 if !self.crashed[u.0] && !self.awake[u.0] && !self.nodes[u.0].is_terminated() {
                     self.activate(u, Some(WakeCause::Adversary), None)?;
                 }
@@ -767,6 +727,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 dst_port,
                 msg,
             } => {
+                let (src, dst) = (node(src), node(dst));
                 if self.crashed[dst.0] {
                     // A crashed node swallows the message silently; with
                     // no reliability layer the payload is gone for good.
@@ -774,16 +735,16 @@ impl<N: AsyncNode> AsyncSim<N> {
                     self.stats.faults.lost_payloads += 1;
                     self.trace_fault(FaultKind::CrashDrop, src, dst);
                 } else {
-                    self.deliver_payload(src, dst, dst_port, msg)?;
+                    self.deliver_payload(src, dst, Port(dst_port as usize), msg)?;
                 }
             }
             EventKind::DeliverData {
                 src,
                 dst,
-                dst_port,
                 data_seq,
                 msg,
             } => {
+                let (src, dst) = (node(src), node(dst));
                 if self.crashed[dst.0] {
                     // Crashed receivers neither deliver nor acknowledge;
                     // the sender's retransmission timer keeps trying.
@@ -793,6 +754,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                     let key = link_key(src, dst, self.n) as u64;
                     let link = self.rel.entry(key);
                     let fresh = data_seq > link.delivered_hi;
+                    let dst_port = link.dst_port;
                     if fresh {
                         link.delivered_hi = data_seq;
                     } else {
@@ -807,6 +769,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 }
             }
             EventKind::DeliverAck { to, from, data_seq } => {
+                let (to, from) = (node(to), node(from));
                 if self.crashed[to.0] {
                     self.stats.faults.crash_drops += 1;
                 } else {
@@ -829,7 +792,8 @@ impl<N: AsyncNode> AsyncSim<N> {
                 data_seq,
                 attempt,
             } => {
-                // Timers are uncancellable heap entries; one is live only
+                let (src, dst) = (node(src), node(dst));
+                // Timers are uncancellable queue entries; one is live only
                 // if the exact (payload, attempt) it was armed for is
                 // still in flight. Stale pops are non-events and must not
                 // advance the reported time complexity.
@@ -858,10 +822,10 @@ impl<N: AsyncNode> AsyncSim<N> {
                 }
             }
             EventKind::Crash(v) => {
-                self.crash_now(v);
+                self.crash_now(node(v));
             }
             EventKind::Recover(v) => {
-                self.recover_now(v);
+                self.recover_now(node(v));
             }
         }
         if effective {
@@ -961,17 +925,15 @@ impl<N: AsyncNode> AsyncSim<N> {
             })
             .collect();
         for (dst, data_seq, attempt) in rearm {
-            self.queue.push(Event {
-                time: self.now + rel_cfg.timeout_after(attempt),
-                seq: self.seq,
-                kind: EventKind::Retry {
-                    src: v,
-                    dst,
+            self.queue.push(
+                self.now + rel_cfg.timeout_after(attempt),
+                EventKind::Retry {
+                    src: ix(v),
+                    dst: ix(dst),
                     data_seq,
                     attempt,
                 },
-            });
-            self.seq += 1;
+            );
         }
     }
 
@@ -1003,9 +965,12 @@ impl<N: AsyncNode> AsyncSim<N> {
                 outbox: &mut outbox,
             };
             if let Some(cause) = wake {
+                debug_assert!(!self.awake[u.0], "{u} woke twice");
                 self.awake[u.0] = true;
+                self.awake_count += 1;
                 self.nodes[u.0].on_wake(&mut ctx, cause);
-                if self.awake.iter().all(|&a| a) && self.wake_all_time.is_none() {
+                // A node wakes once, so this holds at exactly one event.
+                if self.awake_count == self.n {
                     self.wake_all_time = Some(self.now);
                 }
             }
@@ -1060,15 +1025,15 @@ impl<N: AsyncNode> AsyncSim<N> {
         if self.rel_cfg.is_some() {
             let key = link_key(src, dst.node, self.n) as u64;
             let link = self.rel.entry(key);
+            link.dst_port = dst.port;
             if link.inflight.is_some() {
                 // Stop-and-wait: one unacknowledged payload per link; the
                 // rest wait in the backlog.
-                link.backlog.push_back((dst.port, msg));
+                link.backlog.push_back(msg);
             } else {
                 link.next_seq += 1;
                 link.inflight = Some(Outstanding {
                     seq: link.next_seq,
-                    dst_port: dst.port,
                     msg,
                     attempts: 0,
                 });
@@ -1079,17 +1044,15 @@ impl<N: AsyncNode> AsyncSim<N> {
             // lost payload.
             match self.transmit_raw(src, dst.node, class)? {
                 WireFate::At(t) => {
-                    self.queue.push(Event {
-                        time: t,
-                        seq: self.seq,
-                        kind: EventKind::Deliver {
-                            src,
-                            dst: dst.node,
-                            dst_port: dst.port,
+                    self.queue.push(
+                        t,
+                        EventKind::Deliver {
+                            src: ix(src),
+                            dst: ix(dst.node),
+                            dst_port: dst.port.0 as u32,
                             msg,
                         },
-                    });
-                    self.seq += 1;
+                    );
                 }
                 WireFate::QueueDrop | WireFate::Lost => {
                     self.stats.faults.lost_payloads += 1;
@@ -1212,13 +1175,13 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// attempt or retransmission) and arms its retransmission timer.
     fn send_reliable_copy(&mut self, src: NodeIndex, dst: NodeIndex) -> Result<(), ModelError> {
         let key = link_key(src, dst, self.n) as u64;
-        let (data_seq, attempts, dst_port, msg) = {
+        let (data_seq, attempts, msg) = {
             let o = self
                 .rel
                 .get_mut(key)
                 .and_then(|l| l.inflight.as_ref())
                 .expect("send_reliable_copy requires an in-flight payload");
-            (o.seq, o.attempts, o.dst_port, o.msg.clone())
+            (o.seq, o.attempts, o.msg.clone())
         };
         if attempts > 0 {
             self.stats.faults.retransmits += 1;
@@ -1226,18 +1189,15 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         let class = N::classify(&msg);
         if let WireFate::At(t) = self.transmit_raw(src, dst, class)? {
-            self.queue.push(Event {
-                time: t,
-                seq: self.seq,
-                kind: EventKind::DeliverData {
-                    src,
-                    dst,
-                    dst_port,
+            self.queue.push(
+                t,
+                EventKind::DeliverData {
+                    src: ix(src),
+                    dst: ix(dst),
                     data_seq,
                     msg,
                 },
-            });
-            self.seq += 1;
+            );
         }
         // Count the attempt and arm the timer whether or not the copy
         // survived the wire — the sender cannot know.
@@ -1249,17 +1209,15 @@ impl<N: AsyncNode> AsyncSim<N> {
         o.attempts += 1;
         let attempt = o.attempts;
         let rel_cfg = self.rel_cfg.expect("reliable send requires a config");
-        self.queue.push(Event {
-            time: self.now + rel_cfg.timeout_after(attempt),
-            seq: self.seq,
-            kind: EventKind::Retry {
-                src,
-                dst,
+        self.queue.push(
+            self.now + rel_cfg.timeout_after(attempt),
+            EventKind::Retry {
+                src: ix(src),
+                dst: ix(dst),
                 data_seq,
                 attempt,
             },
-        });
-        self.seq += 1;
+        );
         Ok(())
     }
 
@@ -1277,12 +1235,14 @@ impl<N: AsyncNode> AsyncSim<N> {
         self.stats.faults.acks += 1;
         self.trace_fault(FaultKind::Ack, from, to);
         if let WireFate::At(t) = self.transmit_raw(from, to, MessageClass::Ack)? {
-            self.queue.push(Event {
-                time: t,
-                seq: self.seq,
-                kind: EventKind::DeliverAck { to, from, data_seq },
-            });
-            self.seq += 1;
+            self.queue.push(
+                t,
+                EventKind::DeliverAck {
+                    to: ix(to),
+                    from: ix(from),
+                    data_seq,
+                },
+            );
         }
         Ok(())
     }
@@ -1296,11 +1256,10 @@ impl<N: AsyncNode> AsyncSim<N> {
             .get_mut(key)
             .expect("begin_next_payload requires a touched link");
         link.inflight = None;
-        if let Some((dst_port, msg)) = link.backlog.pop_front() {
+        if let Some(msg) = link.backlog.pop_front() {
             link.next_seq += 1;
             link.inflight = Some(Outstanding {
                 seq: link.next_seq,
-                dst_port,
                 msg,
                 attempts: 0,
             });
@@ -2328,6 +2287,20 @@ mod tests {
                 "identical trials must reuse identical storage"
             );
         }
+    }
+
+    #[test]
+    fn an_event_carrying_a_two_word_message_is_48_bytes() {
+        // The shape of the async algorithms' messages: a tag plus a u64.
+        #[allow(dead_code)]
+        enum Msg {
+            Ping,
+            Rank(u64),
+        }
+        assert_eq!(
+            std::mem::size_of::<crate::queue::Event<EventKind<Msg>>>(),
+            48
+        );
     }
 
     #[test]

@@ -19,8 +19,6 @@ use clique_model::ports::{OpenTable, Port};
 pub(crate) struct Outstanding<M> {
     /// Link-local sequence number (1-based).
     pub(crate) seq: u32,
-    /// The receiver-side port the payload is addressed to.
-    pub(crate) dst_port: Port,
     /// The payload, retained for retransmission.
     pub(crate) msg: M,
     /// Wire transmissions performed so far (1 after the initial send).
@@ -32,12 +30,15 @@ pub(crate) struct Outstanding<M> {
 pub(crate) struct RelLink<M> {
     /// Directed-link key `src·n + dst`.
     pub(crate) key: u64,
+    /// The receiver-side port of the link, which every payload on it is
+    /// addressed to (set by the sender on each dispatch).
+    pub(crate) dst_port: Port,
     /// Sequence number most recently assigned by the sender (0 = none).
     pub(crate) next_seq: u32,
     /// The sender's unacknowledged in-flight payload.
     pub(crate) inflight: Option<Outstanding<M>>,
     /// Payloads waiting for the link (stop-and-wait admits one at a time).
-    pub(crate) backlog: VecDeque<(Port, M)>,
+    pub(crate) backlog: VecDeque<M>,
     /// Highest sequence the receiver accepted on this link (duplicate
     /// suppression; gaps appear only when the sender abandoned a payload).
     pub(crate) delivered_hi: u32,
@@ -47,6 +48,7 @@ impl<M> RelLink<M> {
     fn new(key: u64) -> Self {
         RelLink {
             key,
+            dst_port: Port(0),
             next_seq: 0,
             inflight: None,
             backlog: VecDeque::new(),
@@ -129,7 +131,7 @@ impl<M> RelState<M> {
     /// slab and pool entries, and every retained backlog buffer.
     pub(crate) fn resident_bytes(&self) -> u64 {
         let entry = std::mem::size_of::<RelLink<M>>() as u64;
-        let backlog_slot = std::mem::size_of::<(Port, M)>() as u64;
+        let backlog_slot = std::mem::size_of::<M>() as u64;
         let backlogs: u64 = self
             .slab
             .iter()
@@ -163,7 +165,7 @@ mod tests {
         let mut rel: RelState<u32> = RelState::default();
         for i in 0..4 {
             let l = rel.entry(i);
-            l.backlog.extend((0..16).map(|j| (Port(0), j)));
+            l.backlog.extend(0..16);
         }
         let bytes_before = rel.resident_bytes();
         rel.reset();

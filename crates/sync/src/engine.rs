@@ -135,7 +135,6 @@ pub struct SyncSimBuilder {
     topology: Option<Topology>,
     max_rounds: Option<usize>,
     trace: Option<Box<dyn TraceSink>>,
-    lean_stats: bool,
 }
 
 impl std::fmt::Debug for SyncSimBuilder {
@@ -163,7 +162,6 @@ impl SyncSimBuilder {
             topology: None,
             max_rounds: None,
             trace: None,
-            lean_stats: false,
         }
     }
 
@@ -230,14 +228,6 @@ impl SyncSimBuilder {
     /// execution is bit-identical to an untraced one.
     pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Skips the `Θ(n)` per-node message histogram (see
-    /// [`MessageStats::new_lean`]) — for sweeps at scales where per-trial
-    /// collection cost matters more than per-node distribution shape.
-    pub fn lean_stats(mut self, lean: bool) -> Self {
-        self.lean_stats = lean;
         self
     }
 
@@ -325,11 +315,6 @@ impl SyncSimBuilder {
             Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
             None => Tracer::from_env(),
         };
-        let stats = if self.lean_stats {
-            MessageStats::new_lean(n)
-        } else {
-            MessageStats::new(n)
-        };
         Ok(SyncSim {
             n,
             round: 0,
@@ -343,7 +328,7 @@ impl SyncSimBuilder {
             wake_cursor: 0,
             max_rounds: self.max_rounds.unwrap_or(4 * n + 64),
             awake: vec![false; n],
-            stats,
+            stats: MessageStats::new(n),
             tracer,
             pending: bufs.pending,
             inbox: bufs.inbox,
