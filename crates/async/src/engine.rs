@@ -462,7 +462,7 @@ impl AsyncSimBuilder {
                 // Uniform over (0, window]: a crash at exactly 0 would
                 // be indistinguishable from never scheduling the node.
                 let t = rc.window * (1.0 - fault_rng.gen::<f64>());
-                queue.push(t, EventKind::Crash(ix(NodeIndex(v))));
+                queue.push(t, EventKind::Crash(v as u32));
             }
         }
 

@@ -4,8 +4,8 @@
 //!
 //! Simulated time is cut into buckets of `1 / BUCKETS_PER_UNIT` time
 //! units. Only the events of the current bucket sit in a small
-//! [`BinaryHeap`]; a pop reads nothing else. Each later event is appended,
-//! whole, to one of three places:
+//! [`BinaryHeap`]; a pop reads nothing else. A pushed event is filed,
+//! whole, in one of three places:
 //!
 //! * the current heap, when its bucket is the current one (or earlier);
 //! * the ring slot of its bucket, when that bucket lies within `RING`
@@ -51,7 +51,7 @@ const NONE: u32 = u32::MAX;
 /// FIFO tie-break for simultaneous events.
 pub(crate) struct Event<K> {
     pub(crate) time: f64,
-    pub(crate) seq: u64,
+    seq: u64,
     pub(crate) kind: K,
 }
 
